@@ -104,9 +104,12 @@ class NeatConfig:
             raise ConfigError(
                 f"max_conns ({self.max_conns}) must be >= inputs * outputs "
                 f"({self.inputs * self.outputs})")
-        if self.network_type not in ("feedforward", "recurrent"):
-            raise ConfigError(f"network_type must be feedforward or recurrent, "
-                              f"got {self.network_type!r}")
+        if self.network_type != "feedforward":
+            # connection mutation skips its cycle check for recurrent genomes,
+            # but inference needs an acyclic network
+            raise ConfigError(f"network_type must be feedforward, got {self.network_type!r}: "
+                              f"only feedforward networks run until a recurrent forward "
+                              f"pass exists")
         if self.max_species < 1:
             raise ConfigError("max_species must be >= 1")
         if self.attr_min >= self.attr_max:

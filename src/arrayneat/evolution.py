@@ -33,7 +33,6 @@ from .search import (CONN_DOMAIN, match_aligned, match_rows, pair_codes,
 STAGE_INIT = 0
 STAGE_EVAL = 1
 STAGE_REPRODUCE = 2
-STAGE_SPECIATE = 3
 
 _SPAWN_EPSILON = 1e-9  # keeps spawn targets defined when all means coincide
 
@@ -511,7 +510,7 @@ def _distance_to_genome(pop: PopulationTensors, rep: GenomeTensors,
 # ---------------------------------------------------------------------------
 
 def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatConfig,
-             rng: RngStream | None = None, sequential: bool = False
+             sequential: bool = False
              ) -> tuple[PopulationTensors, list[SpeciesState]]:
     """Assign every genome to a species and refresh representatives.
 
@@ -766,8 +765,7 @@ def evolve_step(pop: PopulationTensors, species: list[SpeciesState], config: Nea
     allocated = allocate_spawns(survivors, evaluated.fitness, config)
     offspring = reproduce(evaluated, allocated, evaluated.fitness, config, rng,
                           allocator, threads=threads, sequential=sequential)
-    new_pop, new_species = speciate(offspring, allocated, config,
-                                    rng.child(STAGE_SPECIATE), sequential=sequential)
+    new_pop, new_species = speciate(offspring, allocated, config, sequential=sequential)
 
     stats.elapsed_seconds = time.perf_counter() - start
     return new_pop, new_species, stats

@@ -1,21 +1,34 @@
 """Two-phase feedforward inference over genome tensors.
 
-Phase one (transform) computes a topological order of node rows and a dense
-node-row x node-row expanded connection tensor with NaN marking absent or
-disabled connections.  Phase two (forward) sweeps the order, gathering each
-node's incoming weights and updating a value vector.
+Phase one (transform) orders each genome's live node rows topologically with
+Kahn's algorithm and compiles the order into a *sweep*.  Per genome, the live
+non-input rows are taken in that order and left-packed into ``S`` columns,
+where ``S`` is the largest such count in the population.  Column ``s`` holds,
+for every genome, the row of its s-th computed node and that node's incoming
+weights as one contiguous row of width ``max_nodes`` (NaN where no enabled
+edge exists).  A genome with fewer than ``S`` computed nodes writes its spare
+columns to a scratch row past the last node row.  Everything forward needs
+per column - node attributes, the aggregation and activation codes present,
+their masks - is computed once here, not on every forward call.
+
+Phase two (forward) walks the ``S`` columns.  Each multiplies its incoming
+weight rows by the node-value tensor, aggregates over the full width-n axis,
+applies activation(bias + response * aggregated), and writes the result to
+its node rows.
 
 Both phases are written against a leading population axis; the single-genome
 entry points run the same kernels with a population of one.  Elementwise
-numpy operations are position-independent, so a genome's results are bitwise
-identical whether it is evaluated alone, inside a batch, or inside a chunk of
-a batch.  That is what makes batched and per-genome evaluation agree exactly
-and lets callers parallelize over population chunks without changing results.
+numpy operations are position-independent, and every node is reduced over
+the same contiguous width-n axis whatever the batch, so a genome's results
+are bitwise identical whether it is evaluated alone, inside a batch, inside a
+chunk of a batch, or inside a subset taken with ``StackedNetworks.take``.
+That is what makes batched and per-genome evaluation agree exactly and lets
+callers parallelize over population chunks without changing results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +47,9 @@ class TransformedNetwork:
     ``order`` lists live node ROW indices in topological order, NaN padded.
     ``conns_expanded[i, j, 0]`` is the weight of the enabled connection from
     the node in row i to the node in row j, else NaN.  Rows are the key map:
-    keys are unbounded, row positions are bounded by max_nodes.
+    keys are unbounded, row positions are bounded by max_nodes.  Connections
+    into input nodes are NaN here too: forward never computes an input node,
+    so the sweep does not keep its incoming weights.
     """
     nodes: np.ndarray           # (max_nodes, 5), the genome's node tensor
     order: np.ndarray           # (max_nodes,) float64 row indices, NaN padded
@@ -43,36 +58,129 @@ class TransformedNetwork:
     output_rows: np.ndarray     # (O,) int64 row positions of keys I..I+O-1
 
 
+@dataclass(frozen=True, eq=False)
+class _SweepColumn:
+    """One column of the sweep, with the per-genome data forward reads."""
+    rows: np.ndarray      # (P,) node row written; n (scratch) if the genome has none here
+    weights: np.ndarray   # (P, 1, n) incoming weights of that node
+    edges: np.ndarray     # (P, 1, n) True where an enabled edge exists
+    empty: np.ndarray     # (P, 1) True where the node has no incoming edge
+    bias: np.ndarray      # (P, 1)
+    response: np.ndarray  # (P, 1)
+    aggregations: tuple   # (code, (P, 1) mask) per aggregation code among its nodes
+    activations: tuple    # (code, (P, 1) mask) per activation code among its nodes
+
+
+def _codes_by_column(codes: np.ndarray, active: np.ndarray) -> list[tuple]:
+    """Per column of (P, S) ``codes``: (code, (P, 1) mask) per code its active genomes use."""
+    # sorted(set()) rather than np.unique, which imports numpy.ma on first use
+    present = sorted(set(codes[active].tolist()))
+    masks = [active & (codes == code) for code in present]
+    used = [mask.any(axis=0).tolist() for mask in masks]
+    return [tuple((code, mask[:, s, None])
+                  for code, mask, in_column in zip(present, masks, used) if in_column[s])
+            for s in range(codes.shape[1])]
+
+
 @dataclass(eq=False)
 class StackedNetworks:
     """Population of transformed networks as stacked arrays (one per genome).
 
-    ``incoming`` stores the expanded connections incoming-major:
-    ``incoming[p, k, j]`` is the weight of the enabled edge from node row j
-    into node row k, so one node's incoming weights are a contiguous row.
+    The sweep is ``sweep_rows`` and ``sweep_weights``: ``sweep_rows[p, s]``
+    is the node row genome p computes at column s, or n where p has fewer
+    than S non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
+    the enabled edge from node row j into that node, so one node's incoming
+    weights are a contiguous row.  ``columns`` is derived from these when the
+    stack is built.
     """
-    nodes: np.ndarray        # (P, n, 5)
-    order: np.ndarray        # (P, n)
-    incoming: np.ndarray     # (P, n, n) weight of enabled edge row j -> row k
-    input_rows: np.ndarray   # (P, I)
-    output_rows: np.ndarray  # (P, O)
+    nodes: np.ndarray          # (P, n, 5)
+    order: np.ndarray          # (P, n) topological order of live rows, NaN padded
+    input_rows: np.ndarray     # (P, I)
+    output_rows: np.ndarray    # (P, O)
+    sweep_rows: np.ndarray     # (P, S) int64 node row per column, n if none
+    sweep_weights: np.ndarray  # (P, S, n) weight of enabled edge row j -> that row
+    columns: tuple[_SweepColumn, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pop, n = self.order.shape
+        active = self.sweep_rows < n
+        # a genome with no node in a column computes act(0 + 0 * 0) into the scratch row
+        node = np.where(active[:, :, None],
+                        self.nodes[np.arange(pop)[:, None], np.minimum(self.sweep_rows, n - 1)],
+                        0.0)
+        edges = ~np.isnan(self.sweep_weights)
+        empty = ~edges.any(axis=-1)
+        aggregations = _codes_by_column(node[:, :, NODE_AGG], active)
+        activations = _codes_by_column(node[:, :, NODE_ACT], active)
+        self.columns = tuple(
+            _SweepColumn(rows=self.sweep_rows[:, s], weights=self.sweep_weights[:, s, None],
+                         edges=edges[:, s, None], empty=empty[:, s, None],
+                         bias=node[:, s, NODE_BIAS, None],
+                         response=node[:, s, NODE_RESPONSE, None],
+                         aggregations=aggregations[s], activations=activations[s])
+            for s in range(self.sweep_rows.shape[1]))
 
     @property
     def size(self) -> int:
         return self.order.shape[0]
 
+    def take(self, idx: np.ndarray) -> "StackedNetworks":
+        """The networks at ``idx``; sweep columns none of them computes are dropped."""
+        rows = self.sweep_rows[idx]
+        width = int((rows < self.order.shape[1]).sum(axis=1).max(initial=0))
+        return StackedNetworks(self.nodes[idx], self.order[idx], self.input_rows[idx],
+                               self.output_rows[idx], rows[:, :width],
+                               self.sweep_weights[idx, :width])
+
     def genome_view(self, i: int) -> TransformedNetwork:
-        return TransformedNetwork(self.nodes[i], self.order[i],
-                                  self.incoming[i].T[:, :, None],
+        n = self.order.shape[1]
+        rows = self.sweep_rows[i]
+        active = rows < n
+        expanded = np.full((n, n), np.nan)
+        expanded[:, rows[active]] = self.sweep_weights[i, active].T
+        return TransformedNetwork(self.nodes[i], self.order[i], expanded[:, :, None],
                                   self.input_rows[i], self.output_rows[i])
 
     @classmethod
     def from_networks(cls, networks: list[TransformedNetwork]) -> "StackedNetworks":
-        return cls(nodes=np.stack([t.nodes for t in networks]),
-                   order=np.stack([t.order for t in networks]),
-                   incoming=np.stack([t.conns_expanded[:, :, 0].T for t in networks]),
-                   input_rows=np.stack([t.input_rows for t in networks]),
-                   output_rows=np.stack([t.output_rows for t in networks]))
+        expanded = np.stack([t.conns_expanded[:, :, 0] for t in networks])
+        genome, src, dst = np.nonzero(~np.isnan(expanded))
+        return _compile(np.stack([t.nodes for t in networks]),
+                        np.stack([t.order for t in networks]),
+                        np.stack([t.input_rows for t in networks]),
+                        np.stack([t.output_rows for t in networks]),
+                        genome, src, dst, expanded[genome, src, dst])
+
+
+def _compile(nodes: np.ndarray, order: np.ndarray, input_rows: np.ndarray,
+             output_rows: np.ndarray, genome: np.ndarray, src: np.ndarray,
+             dst: np.ndarray, weight: np.ndarray) -> StackedNetworks:
+    """Stack networks given their order and enabled edges ``genome: src -> dst``.
+
+    Left-packs each genome's non-input order entries into sweep columns and
+    scatters every edge into the incoming row of its destination's column.
+    Edges into rows outside the sweep (input rows) are dropped.
+    """
+    pop, n = order.shape
+    live = ~np.isnan(order)
+    rows = np.where(live, order, 0.0).astype(np.int64)
+    genomes = np.arange(pop)[:, None]
+    is_input = np.zeros((pop, n), dtype=bool)
+    is_input[genomes, input_rows] = True
+    computes = live & ~is_input[genomes, rows]
+    column = np.cumsum(computes, axis=1) - 1
+    width = int(column[:, -1].max(initial=-1)) + 1
+    gm, sm = np.nonzero(computes)
+    sweep_rows = np.full((pop, width), n, dtype=np.int64)
+    sweep_rows[gm, column[gm, sm]] = rows[gm, sm]
+
+    column_of_row = np.full((pop, n), width, dtype=np.int64)
+    column_of_row[gm, rows[gm, sm]] = column[gm, sm]
+    dst_column = column_of_row[genome, dst]
+    kept = dst_column < width
+    sweep_weights = np.full((pop, width, n), np.nan)
+    sweep_weights[genome[kept], dst_column[kept], src[kept]] = weight[kept]
+    return StackedNetworks(nodes, order, input_rows, output_rows, sweep_rows, sweep_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +189,7 @@ class StackedNetworks:
 
 def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
                      num_inputs: int, num_outputs: int) -> tuple[StackedNetworks, np.ndarray]:
-    """Kahn's algorithm over every genome at once.
+    """Kahn's algorithm over every genome at once, compiled into the sweep.
 
     Ties break toward the smallest node row index, which makes the order (and
     therefore every later floating-point sweep) deterministic.  Returns the
@@ -105,11 +213,9 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
     out_row = resolved[:, c:2 * c]
     io_rows = resolved[:, 2 * c:]
 
-    incoming = np.full((pop, n, n), np.nan)
     pm, rm = np.nonzero(enabled)
     src_sel = in_row[pm, rm]
     dst_sel = out_row[pm, rm]
-    incoming[pm, dst_sel, src_sel] = conns[pm, rm, CONN_WEIGHT]
 
     indegree = np.zeros((pop, n), dtype=np.int64)
     np.add.at(indegree, (pm, dst_sel), 1)
@@ -142,9 +248,8 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
 
     cyclic = np.nonzero(remaining.any(axis=1))[0]
 
-    return StackedNetworks(nodes=nodes, order=order, incoming=incoming,
-                           input_rows=io_rows[:, :num_inputs],
-                           output_rows=io_rows[:, num_inputs:]), cyclic
+    return _compile(nodes, order, io_rows[:, :num_inputs], io_rows[:, num_inputs:],
+                    pm, src_sel, dst_sel, conns[pm, rm, CONN_WEIGHT]), cyclic
 
 
 def transform(genome: GenomeTensors) -> TransformedNetwork:
@@ -153,9 +258,7 @@ def transform(genome: GenomeTensors) -> TransformedNetwork:
                                        genome.num_inputs, genome.num_outputs)
     if cyclic.size:
         raise CycleDetected("enabled connections contain a directed cycle")
-    view = stacked.genome_view(0)
-    return TransformedNetwork(view.nodes, view.order, view.conns_expanded,
-                              view.input_rows, view.output_rows)
+    return stacked.genome_view(0)
 
 
 def population_transform(pop: PopulationTensors) -> list[TransformedNetwork]:
@@ -186,80 +289,57 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
                    inputs: np.ndarray) -> np.ndarray:
     """Batched node-value sweep: inputs (P, B, I) -> outputs (P, B, O).
 
-    Node values live in a (P, B, max_nodes) tensor initialized to NaN; each
-    step of the order gathers the active node's incoming weight column,
-    multiplies by upstream values, aggregates with the node's aggregation
-    function (empty aggregation is 0), and applies
-    activation(bias + response * aggregated).
+    Node values live in a (P, B, max_nodes + 1) tensor initialized to NaN;
+    the last row is the scratch row.  Each sweep column multiplies its
+    incoming weight rows by the node values, aggregates with each node's
+    aggregation function (empty aggregation is 0), and writes
+    activation(bias + response * aggregated) to its node rows.
     """
     pop, n = stacked.order.shape
     batch = inputs.shape[1]
-    rows = np.arange(pop)
+    genomes = np.arange(pop)
 
-    values = np.full((pop, batch, n), np.nan)
-    in_idx = np.broadcast_to(stacked.input_rows[:, None, :], inputs.shape)
-    np.put_along_axis(values, in_idx, inputs, axis=2)
-
-    is_input_row = np.zeros((pop, n), dtype=bool)
-    np.put_along_axis(is_input_row, stacked.input_rows, True, axis=1)
+    values = np.full((pop, batch, n + 1), np.nan)
+    values[genomes[:, None], :, stacked.input_rows] = np.swapaxes(inputs, 1, 2)
+    sources = values[:, :, :n]
 
     weighted = np.empty((pop, batch, n))
-    for step in range(n):
-        row = stacked.order[:, step]
-        active = ~np.isnan(row)
-        if not active.any():
-            break
-        ki = np.where(active, row, 0.0).astype(np.int64)
-        active &= ~is_input_row[rows, ki]
-        if not active.any():
-            continue
+    for column in stacked.columns:
+        np.multiply(column.weights, sources, out=weighted)
 
-        node = stacked.nodes[rows, ki]                  # (P, 5)
-        weights = stacked.incoming[rows, ki]            # (P, n), contiguous
-        np.multiply(weights[:, None, :], values, out=weighted)
-
-        node_agg = node[:, NODE_AGG]
-        agg_codes = [code for code in sorted(registry.aggregations)
-                     if (active & (node_agg == code)).any()]
-        if agg_codes == [0]:
-            # pure-sum step: weighted is NaN exactly where no edge exists, so
-            # nansum equals the registry's masked sum bit for bit
-            aggregated = np.nansum(weighted, axis=-1)
+        agg_codes = [(code, mask) for code, mask in column.aggregations
+                     if code in registry.aggregations]
+        if len(agg_codes) == 1 and agg_codes[0][0] == 0:
+            # pure-sum column: weighted is NaN exactly where no edge exists, so
+            # zeroing NaNs in place (as nansum does in a copy) and summing
+            # equals the registry's masked sum bit for bit
+            np.copyto(weighted, 0.0, where=np.isnan(weighted))
+            aggregated = np.add.reduce(weighted, axis=-1)
         else:
-            mask3 = ~np.isnan(weights)[:, None, :]
             if len(agg_codes) == 1:
-                aggregated = registry.aggregation(agg_codes[0])(weighted, mask3)
+                aggregated = registry.aggregation(agg_codes[0][0])(weighted, column.edges)
             else:
                 aggregated = np.zeros((pop, batch))
-                for code in agg_codes:
-                    result = registry.aggregation(code)(weighted, mask3)
-                    aggregated = np.where((active & (node_agg == code))[:, None],
-                                          result, aggregated)
+                for code, mask in agg_codes:
+                    result = registry.aggregation(code)(weighted, column.edges)
+                    aggregated = np.where(mask, result, aggregated)
             # aggregation over the empty set is 0 regardless of the function
-            aggregated = np.where((mask3[:, 0, :].sum(axis=1) == 0)[:, None],
-                                  0.0, aggregated)
+            aggregated = np.where(column.empty, 0.0, aggregated)
 
-        pre = node[:, NODE_BIAS, None] + node[:, NODE_RESPONSE, None] * aggregated
+        pre = column.bias + column.response * aggregated
 
-        node_act = node[:, NODE_ACT]
-        act_codes = [code for code in sorted(registry.activations)
-                     if (active & (node_act == code)).any()]
+        act_codes = [(code, mask) for code, mask in column.activations
+                     if code in registry.activations]
         if len(act_codes) == 1:
-            out = registry.activation(act_codes[0])(pre)
+            out = registry.activation(act_codes[0][0])(pre)
         else:
             out = np.zeros((pop, batch))
-            for code in act_codes:
-                out = np.where((active & (node_act == code))[:, None],
-                               registry.activation(code)(pre), out)
+            for code, mask in act_codes:
+                out = np.where(mask, registry.activation(code)(pre), out)
 
-        if active.all():
-            values[rows, :, ki] = out
-        else:
-            values[rows, :, ki] = np.where(active[:, None], out, values[rows, :, ki])
+        values[genomes, :, column.rows] = out
 
-    out_idx = np.broadcast_to(stacked.output_rows[:, None, :],
-                              (pop, batch, stacked.output_rows.shape[1]))
-    return np.take_along_axis(values, out_idx, axis=2)
+    return np.swapaxes(values[genomes[:, None], :, stacked.output_rows], 1, 2).copy()
 
 
 def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:
@@ -267,13 +347,6 @@ def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:
         raise InvalidInput(f"expected input length {num_inputs}, got {arr.shape[-1]}")
     if np.isnan(arr).any():
         raise InvalidInput("input contains NaN")
-
-
-def _as_stack_of_one(tn: TransformedNetwork) -> StackedNetworks:
-    return StackedNetworks(nodes=tn.nodes[None], order=tn.order[None],
-                           incoming=tn.conns_expanded[:, :, 0].T[None],
-                           input_rows=tn.input_rows[None],
-                           output_rows=tn.output_rows[None])
 
 
 def forward(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
@@ -284,7 +357,7 @@ def forward(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
     if arr.ndim != 1:
         raise InvalidInput(f"expected a 1-D input vector, got shape {arr.shape}")
     _check_inputs(arr, tn.input_rows.shape[0])
-    return forward_arrays(_as_stack_of_one(tn), registry, arr[None, None, :])[0, 0]
+    return forward_arrays(StackedNetworks.from_networks([tn]), registry, arr[None, None, :])[0, 0]
 
 
 def forward_batch(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
@@ -297,7 +370,7 @@ def forward_batch(tn: TransformedNetwork, registry: FunctionRegistry | None = No
     if arr.shape[0] < 1:
         raise InvalidInput("batch must contain at least one row")
     _check_inputs(arr, tn.input_rows.shape[0])
-    return forward_arrays(_as_stack_of_one(tn), registry, arr[None])[0]
+    return forward_arrays(StackedNetworks.from_networks([tn]), registry, arr[None])[0]
 
 
 def population_forward(transformed, registry: FunctionRegistry | None = None,

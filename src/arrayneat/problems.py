@@ -152,16 +152,30 @@ def eval_cartpole(forward_fn, rng: RngStream) -> float:
 
 def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
                        streams: RngStream) -> np.ndarray:
-    """All episodes advance one timestep at a time; terminated genomes freeze."""
+    """All episodes advance one timestep at a time; terminated genomes freeze.
+
+    Once at least half of the current batch has terminated, the batch shrinks
+    to the running episodes.  Halving bounds the rows copied over a whole
+    episode by the population size, and keeps every batch at most twice the
+    number of running episodes.
+    """
     pop = stacked.size
     u = streams.uniforms(4).reshape(pop, 4)
     x = u[:, 0] * 0.1 - 0.05
     x_dot = u[:, 1] * 0.1 - 0.05
     theta = u[:, 2] * 0.1 - 0.05
     theta_dot = u[:, 3] * 0.1 - 0.05
+    fitness = np.zeros(pop)
+    running = np.arange(pop)  # population index of each batch row
     alive = np.ones(pop, dtype=bool)
     steps = np.zeros(pop, dtype=np.int64)
     for _ in range(MAX_STEPS):
+        if 2 * np.count_nonzero(alive) <= alive.size:
+            fitness[running[~alive]] = steps[~alive]
+            keep = np.nonzero(alive)[0]
+            stacked = stacked.take(keep)
+            x, x_dot, theta, theta_dot = x[keep], x_dot[keep], theta[keep], theta_dot[keep]
+            running, alive, steps = running[keep], alive[keep], steps[keep]
         observations = np.stack([x, x_dot, theta, theta_dot], axis=1)[:, None, :]
         outputs = forward_arrays(stacked, registry, observations)[:, 0, 0]
         force = np.where(outputs > 0, FORCE_MAG, -FORCE_MAG)
@@ -174,7 +188,8 @@ def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
         alive &= ~((np.abs(x) > X_LIMIT) | (np.abs(theta) > THETA_LIMIT))
         if not alive.any():
             break
-    return steps.astype(np.float64)
+    fitness[running] = steps
+    return fitness
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("max_nodes = 2\ninputs = 2\noutputs = 1\n")
 
+    def test_recurrent_network_type_rejected(self):
+        # inference needs a DAG, so a recurrent run would die mid-run with
+        # CycleDetected once connection mutation creates a cycle
+        with pytest.raises(ConfigError, match="only feedforward"):
+            parse_config_text("network_type = recurrent\n")
+        with pytest.raises(ConfigError, match="only feedforward"):
+            make_config(network_type="recurrent")
+        assert make_config(network_type="feedforward").network_type == "feedforward"
+
 
 class TestRun:
     def test_run_writes_artifacts_and_exit_code(self, config_file, tmp_path):

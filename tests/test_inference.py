@@ -6,9 +6,11 @@ import pytest
 from arrayneat import (ConnRow, CycleDetected, GenomeTensors, InvalidInput,
                        NodeRow, PopulationTensors, RngStream, add_conn, add_node,
                        forward, forward_batch, init_genome, population_forward,
-                       population_transform, set_conn_attr, set_node_attr, to_dot,
-                       transform)
-from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS
+                       population_transform, remove_conn, set_conn_attr,
+                       set_node_attr, to_dot, transform)
+from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY
+from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_KEY
+from arrayneat.inference import StackedNetworks, forward_arrays, transform_arrays
 
 from conftest import make_config, random_genome
 
@@ -75,6 +77,83 @@ class TestTransform:
         src, dst = np.nonzero(~np.isnan(tn.conns_expanded[:, :, 0]))
         for s, d in zip(src, dst):
             assert position[int(s)] < position[int(d)]
+
+
+    def test_conns_expanded_matches_enabled_connections(self):
+        # reference built straight from the connection tensor
+        config = make_config()
+        checked = 0
+        for seed in range(30):
+            g = random_genome(seed, config, n_ops=40)
+            keys = g.nodes[:, NODE_KEY]
+            if not (keys >= config.inputs + config.outputs).any():
+                continue  # only genomes with hidden nodes
+            checked += 1
+            row = {int(k): r for r, k in enumerate(keys) if not np.isnan(k)}
+            expected = np.full((keys.size, keys.size), np.nan)
+            for conn in g.conns:
+                if conn[CONN_ENABLED] == 1.0:
+                    expected[row[int(conn[CONN_IN])], row[int(conn[CONN_OUT])]] = conn[CONN_WEIGHT]
+            got = transform(g).conns_expanded
+            assert got.shape == expected.shape + (1,)
+            assert np.array_equal(got[:, :, 0].view(np.uint64), expected.view(np.uint64))
+        assert checked >= 10
+
+    def test_connection_into_an_input_is_dropped(self):
+        config = make_config()
+        g = init_genome(config, RngStream(2).child(0, 0, 0))
+        g = add_node(g, NodeRow(3, 0.3, 1.0, 0, 1))
+        g = add_conn(g, ConnRow(1, 3, 1.0, 0.8))
+        plain = add_conn(g, ConnRow(3, 2, 1.0, -0.4))
+        into_input = add_conn(plain, ConnRow(3, 0, 1.0, 0.7))
+        tn = transform(into_input)
+        assert np.isnan(tn.conns_expanded[3, 0, 0])
+        assert np.array_equal(tn.conns_expanded, transform(plain).conns_expanded,
+                              equal_nan=True)
+        x = [0.5, -1.5]
+        assert np.array_equal(forward(tn, inputs=x), forward(transform(plain), inputs=x))
+
+
+class TestSweep:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        config = make_config(max_nodes=16, max_conns=40)
+        genomes = [random_genome(s, config, n_ops=45) for s in range(40)]
+        pop = PopulationTensors.from_genomes(genomes)
+        stacked, cyclic = transform_arrays(pop.nodes, pop.conns, config.inputs, config.outputs)
+        assert cyclic.size == 0
+        inputs = np.random.default_rng(5).normal(size=(pop.size, 6, config.inputs)) * 2.0
+        return stacked, inputs
+
+    def test_corpus_mixes_codes_within_a_column(self, corpus):
+        stacked, _ = corpus
+        assert any(len(c.aggregations) > 1 for c in stacked.columns)
+        assert any(len(c.activations) > 1 for c in stacked.columns)
+
+    @pytest.mark.parametrize("idx", [[17], [31, 4, 22, 9, 0, 13, 38],
+                                     list(np.random.default_rng(8).permutation(40))])
+    def test_take_equals_rows_of_the_full_forward(self, corpus, idx):
+        stacked, inputs = corpus
+        idx = np.array(idx)
+        full = forward_arrays(stacked, DEFAULT_REGISTRY, inputs)
+        subset = forward_arrays(stacked.take(idx), DEFAULT_REGISTRY, inputs[idx])
+        assert np.array_equal(subset.view(np.uint64), full[idx].view(np.uint64))
+
+    def test_take_drops_columns_no_genome_uses(self, corpus):
+        stacked, _ = corpus
+        counts = (stacked.sweep_rows < stacked.order.shape[1]).sum(axis=1)
+        smallest = int(np.argmin(counts))
+        assert counts[smallest] < stacked.sweep_rows.shape[1]
+        assert len(stacked.take(np.array([smallest])).columns) == counts[smallest]
+
+    def test_genome_view_round_trips_through_from_networks(self, corpus):
+        stacked, inputs = corpus
+        rebuilt = StackedNetworks.from_networks(
+            [stacked.genome_view(i) for i in range(stacked.size)])
+        assert np.array_equal(rebuilt.sweep_rows, stacked.sweep_rows)
+        assert np.array_equal(rebuilt.sweep_weights, stacked.sweep_weights, equal_nan=True)
+        assert np.array_equal(forward_arrays(rebuilt, DEFAULT_REGISTRY, inputs),
+                              forward_arrays(stacked, DEFAULT_REGISTRY, inputs))
 
 
 class TestForward:

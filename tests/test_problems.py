@@ -8,7 +8,8 @@ import pytest
 from arrayneat import (CartPoleProblem, CartPoleState, RegressionProblem,
                        RngStream, ShapeMismatch, TerminalState, XorProblem,
                        cartpole_step, eval_cartpole, eval_regression, eval_xor,
-                       evaluate_population, forward, make_problem, transform)
+                       evaluate_population, forward, init_genome, make_problem,
+                       problems, set_conn_attr, transform)
 from arrayneat.errors import ConfigError
 from arrayneat.genome import PopulationTensors
 from arrayneat.problems import MAX_STEPS, THETA_LIMIT, X_LIMIT, regression_grid
@@ -165,6 +166,49 @@ class TestEvalCartPole:
                           eval_rng.child(i))
             for i, g in enumerate(genomes)])
         assert np.array_equal(batched, singles)
+
+
+    def test_shrinking_lockstep_equals_sequential_episodes(self, monkeypatch):
+        config = make_config(inputs=4, outputs=1, max_nodes=16, max_conns=32)
+        rng = np.random.default_rng(0)
+        genomes = []
+        for i in range(36):
+            # linear controllers leaning on the pole angle: some balance to the end
+            g = init_genome(config, RngStream(i).child(0, 0, 0))
+            gains = rng.normal(size=4) + np.array([0.0, 0.5, 4.0, 1.0]) * rng.uniform(0, 2)
+            for key, gain in enumerate(gains):
+                g = set_conn_attr(g, key, 4, 1, float(gain))
+            genomes.append(g)
+        genomes += [random_genome(s, config, n_ops=30) for s in range(36)]
+        rng.shuffle(genomes)
+        pop = PopulationTensors.from_genomes(genomes)
+
+        batch_sizes = []
+        original = problems.forward_arrays
+
+        def recording(stacked, registry, inputs):
+            batch_sizes.append(stacked.size)
+            return original(stacked, registry, inputs)
+
+        monkeypatch.setattr(problems, "forward_arrays", recording)
+        eval_rng = RngStream(2).child(0, 1)
+        batched = CartPoleProblem().evaluate_population_tensors(pop, rng=eval_rng)
+        monkeypatch.undo()
+
+        singles = np.array([
+            eval_cartpole(lambda obs, tn=transform(g): forward(tn, inputs=obs),
+                          eval_rng.child(i))
+            for i, g in enumerate(genomes)])
+        assert np.array_equal(batched, singles)
+        assert len(np.unique(batched)) >= 20
+        assert (batched == MAX_STEPS).any()
+        # one call per timestep; at timestep t the batch holds every running
+        # episode and at most as many terminated ones
+        assert len(batch_sizes) == MAX_STEPS
+        running = np.array([(batched > t).sum() for t in range(MAX_STEPS)])
+        sizes = np.array(batch_sizes)
+        assert sizes[0] == len(genomes) and sizes[-1] < len(genomes)
+        assert (running <= sizes).all() and (sizes <= 2 * running).all()
 
 
 class TestEvaluatePopulation:
