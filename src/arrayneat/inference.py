@@ -29,6 +29,7 @@ callers parallelize over population chunks without changing results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,13 +50,20 @@ class TransformedNetwork:
     the node in row i to the node in row j, else NaN.  Rows are the key map:
     keys are unbounded, row positions are bounded by max_nodes.  Connections
     into input nodes are NaN here too: forward never computes an input node,
-    so the sweep does not keep its incoming weights.
+    so the sweep does not keep its incoming weights.  ``sweep`` is the network
+    compiled as a ``StackedNetworks`` of one; ``forward`` and ``forward_batch``
+    compile it on their first call and reuse it after.
     """
     nodes: np.ndarray           # (max_nodes, 5), the genome's node tensor
     order: np.ndarray           # (max_nodes,) float64 row indices, NaN padded
     conns_expanded: np.ndarray  # (max_nodes, max_nodes, 1) weight channel
     input_rows: np.ndarray      # (I,) int64 row positions of keys 0..I-1
     output_rows: np.ndarray     # (O,) int64 row positions of keys I..I+O-1
+
+    @cached_property
+    def sweep(self) -> "StackedNetworks":
+        """This network as a stack of one, compiled on first use."""
+        return StackedNetworks.from_networks([self])
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +365,7 @@ def forward(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
     if arr.ndim != 1:
         raise InvalidInput(f"expected a 1-D input vector, got shape {arr.shape}")
     _check_inputs(arr, tn.input_rows.shape[0])
-    return forward_arrays(StackedNetworks.from_networks([tn]), registry, arr[None, None, :])[0, 0]
+    return forward_arrays(tn.sweep, registry, arr[None, None, :])[0, 0]
 
 
 def forward_batch(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
@@ -370,7 +378,7 @@ def forward_batch(tn: TransformedNetwork, registry: FunctionRegistry | None = No
     if arr.shape[0] < 1:
         raise InvalidInput("batch must contain at least one row")
     _check_inputs(arr, tn.input_rows.shape[0])
-    return forward_arrays(StackedNetworks.from_networks([tn]), registry, arr[None])[0]
+    return forward_arrays(tn.sweep, registry, arr[None])[0]
 
 
 def population_forward(transformed, registry: FunctionRegistry | None = None,

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from arrayneat import inference
 from arrayneat import (ConnRow, CycleDetected, GenomeTensors, InvalidInput,
                        NodeRow, PopulationTensors, RngStream, add_conn, add_node,
                        forward, forward_batch, init_genome, population_forward,
-                       population_transform, remove_conn, set_conn_attr,
-                       set_node_attr, to_dot, transform)
+                       population_transform, set_conn_attr, set_node_attr,
+                       to_dot, transform)
 from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY
 from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_KEY
 from arrayneat.inference import StackedNetworks, forward_arrays, transform_arrays
@@ -77,7 +78,6 @@ class TestTransform:
         src, dst = np.nonzero(~np.isnan(tn.conns_expanded[:, :, 0]))
         for s, d in zip(src, dst):
             assert position[int(s)] < position[int(d)]
-
 
     def test_conns_expanded_matches_enabled_connections(self):
         # reference built straight from the connection tensor
@@ -186,6 +186,17 @@ class TestForward:
         fresh = [forward(transform(g), inputs=x) for _ in range(50)]
         for a, b in zip(repeated, fresh):
             assert np.array_equal(a, b)
+
+    def test_network_is_compiled_once(self, monkeypatch):
+        tn = transform(random_genome(4, make_config(), n_ops=20))
+        swept = []
+        original = inference.forward_arrays
+        monkeypatch.setattr(inference, "forward_arrays",
+                            lambda stacked, registry, x: swept.append(stacked)
+                            or original(stacked, registry, x))
+        forward(tn, inputs=[0.1, 0.2])
+        forward_batch(tn, inputs=[[0.1, 0.2], [0.3, -0.4]])
+        assert len(swept) == 2 and swept[0] is swept[1] is tn.sweep
 
     def test_nan_containment(self):
         config = make_config()

@@ -167,7 +167,6 @@ class TestEvalCartPole:
             for i, g in enumerate(genomes)])
         assert np.array_equal(batched, singles)
 
-
     def test_shrinking_lockstep_equals_sequential_episodes(self, monkeypatch):
         config = make_config(inputs=4, outputs=1, max_nodes=16, max_conns=32)
         rng = np.random.default_rng(0)
