@@ -19,12 +19,11 @@ from .genome import (ConnRow, GenomeTensors, NodeRow, PopulationTensors,
                      genomes_equal, init_genome, parse_genome, remove_conn,
                      remove_node, serialize_genome, set_conn_attr, set_node_attr)
 from .graphref import (GraphNetwork, decode, graph_distance, graph_forward)
-from .inference import (StackedNetworks, TransformedNetwork, forward,
-                        forward_batch, population_forward, population_transform,
-                        to_dot, transform)
+from .inference import (StackedNetworks, forward, forward_batch, population_forward,
+                        population_transform, to_dot, transform)
 from .problems import (CartPoleProblem, CartPoleState, Problem, RegressionProblem,
                        XorProblem, cartpole_step, eval_cartpole, eval_regression,
-                       eval_xor, evaluate_population, make_problem)
+                       eval_xor, make_problem)
 from .rng import RngStream
 from .runner import (EvolutionState, RunOutcome, init_state, load_checkpoint,
                      run_bench, run_experiment, save_checkpoint)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class SpeciesState:
     species_key: int
     representative: GenomeTensors
     member_indices: np.ndarray                 # int64 indices into the population
-    best_fitness_history: list[float] = field(default_factory=list)
+    best_fitness: float = -math.inf            # best species fitness seen so far
     stagnation_counter: int = 0
     spawn_count: int = 0
 
@@ -590,11 +590,9 @@ def update_stagnation(species: list[SpeciesState], fitness: np.ndarray,
     updated: list[tuple[float, SpeciesState]] = []
     for sp in sorted(species, key=lambda s: s.species_key):
         current = float(fitness[sp.member_indices].max())
-        previous = max(sp.best_fitness_history) if sp.best_fitness_history else -math.inf
-        counter = 0 if current > previous else sp.stagnation_counter + 1
+        counter = 0 if current > sp.best_fitness else sp.stagnation_counter + 1
         updated.append((current, replace(
-            sp, best_fitness_history=sp.best_fitness_history + [current],
-            stagnation_counter=counter)))
+            sp, best_fitness=max(sp.best_fitness, current), stagnation_counter=counter)))
 
     by_fitness = sorted(updated, key=lambda pair: (-pair[0], pair[1].species_key))
     protected = {pair[1].species_key for pair in by_fitness[:config.species_elitism]}

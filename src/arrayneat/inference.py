@@ -16,8 +16,11 @@ weight rows by the node-value tensor, aggregates over the full width-n axis,
 applies activation(bias + response * aggregated), and writes the result to
 its node rows.
 
-Both phases are written against a leading population axis; the single-genome
-entry points run the same kernels with a population of one.  Elementwise
+Both phases are written against a leading population axis, and there is one
+network type: ``population_transform`` returns the ``StackedNetworks`` of a
+population, and ``transform`` returns the ``StackedNetworks`` of one genome,
+which ``forward`` and ``forward_batch`` run through the same kernels as a
+population of one.  Elementwise
 numpy operations are position-independent, and every node is reduced over
 the same contiguous width-n axis whatever the batch, so a genome's results
 are bitwise identical whether it is evaluated alone, inside a batch, inside a
@@ -29,7 +32,6 @@ callers parallelize over population chunks without changing results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -39,31 +41,6 @@ from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
                      GenomeTensors, PopulationTensors)
 from .search import rows_of_io_keys
-
-
-@dataclass(frozen=True, eq=False)
-class TransformedNetwork:
-    """Inference-ready form of one genome.
-
-    ``order`` lists live node ROW indices in topological order, NaN padded.
-    ``conns_expanded[i, j, 0]`` is the weight of the enabled connection from
-    the node in row i to the node in row j, else NaN.  Rows are the key map:
-    keys are unbounded, row positions are bounded by max_nodes.  Connections
-    into input nodes are NaN here too: forward never computes an input node,
-    so the sweep does not keep its incoming weights.  ``sweep`` is the network
-    compiled as a ``StackedNetworks`` of one; ``forward`` and ``forward_batch``
-    compile it on their first call and reuse it after.
-    """
-    nodes: np.ndarray           # (max_nodes, 5), the genome's node tensor
-    order: np.ndarray           # (max_nodes,) float64 row indices, NaN padded
-    conns_expanded: np.ndarray  # (max_nodes, max_nodes, 1) weight channel
-    input_rows: np.ndarray      # (I,) int64 row positions of keys 0..I-1
-    output_rows: np.ndarray     # (O,) int64 row positions of keys I..I+O-1
-
-    @cached_property
-    def sweep(self) -> "StackedNetworks":
-        """This network as a stack of one, compiled on first use."""
-        return StackedNetworks.from_networks([self])
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +69,8 @@ def _codes_by_column(codes: np.ndarray, active: np.ndarray) -> list[tuple]:
 
 @dataclass(eq=False)
 class StackedNetworks:
-    """Population of transformed networks as stacked arrays (one per genome).
+    """Transformed networks as stacked arrays, one per genome; a single
+    transformed genome is a stack of one.
 
     The sweep is ``sweep_rows`` and ``sweep_weights``: ``sweep_rows[p, s]``
     is the node row genome p computes at column s, or n where p has fewer
@@ -139,25 +117,6 @@ class StackedNetworks:
         return StackedNetworks(self.nodes[idx], self.order[idx], self.input_rows[idx],
                                self.output_rows[idx], rows[:, :width],
                                self.sweep_weights[idx, :width])
-
-    def genome_view(self, i: int) -> TransformedNetwork:
-        n = self.order.shape[1]
-        rows = self.sweep_rows[i]
-        active = rows < n
-        expanded = np.full((n, n), np.nan)
-        expanded[:, rows[active]] = self.sweep_weights[i, active].T
-        return TransformedNetwork(self.nodes[i], self.order[i], expanded[:, :, None],
-                                  self.input_rows[i], self.output_rows[i])
-
-    @classmethod
-    def from_networks(cls, networks: list[TransformedNetwork]) -> "StackedNetworks":
-        expanded = np.stack([t.conns_expanded[:, :, 0] for t in networks])
-        genome, src, dst = np.nonzero(~np.isnan(expanded))
-        return _compile(np.stack([t.nodes for t in networks]),
-                        np.stack([t.order for t in networks]),
-                        np.stack([t.input_rows for t in networks]),
-                        np.stack([t.output_rows for t in networks]),
-                        genome, src, dst, expanded[genome, src, dst])
 
 
 def _compile(nodes: np.ndarray, order: np.ndarray, input_rows: np.ndarray,
@@ -260,27 +219,17 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
                     pm, src_sel, dst_sel, conns[pm, rm, CONN_WEIGHT]), cyclic
 
 
-def transform(genome: GenomeTensors) -> TransformedNetwork:
-    """Transform one genome; raises CycleDetected on an enabled cycle."""
+def transform(genome: GenomeTensors) -> StackedNetworks:
+    """Transform one genome into a stack of one; raises CycleDetected on an enabled cycle."""
     stacked, cyclic = transform_arrays(genome.nodes[None], genome.conns[None],
                                        genome.num_inputs, genome.num_outputs)
     if cyclic.size:
         raise CycleDetected("enabled connections contain a directed cycle")
-    return stacked.genome_view(0)
+    return stacked
 
 
-def population_transform(pop: PopulationTensors) -> list[TransformedNetwork]:
+def population_transform(pop: PopulationTensors) -> StackedNetworks:
     """Transform every genome; aggregates per-genome cycle failures."""
-    stacked, cyclic = transform_arrays(pop.nodes, pop.conns, pop.num_inputs, pop.num_outputs)
-    if cyclic.size:
-        raise CycleDetected(
-            f"enabled connections contain a directed cycle in genomes {cyclic.tolist()}",
-            genome_indices=cyclic.tolist())
-    return [stacked.genome_view(i) for i in range(stacked.size)]
-
-
-def transform_population_stacked(pop: PopulationTensors) -> StackedNetworks:
-    """Stacked-array variant used by the evolution loop and benchmarks."""
     stacked, cyclic = transform_arrays(pop.nodes, pop.conns, pop.num_inputs, pop.num_outputs)
     if cyclic.size:
         raise CycleDetected(
@@ -315,8 +264,7 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
     for column in stacked.columns:
         np.multiply(column.weights, sources, out=weighted)
 
-        agg_codes = [(code, mask) for code, mask in column.aggregations
-                     if code in registry.aggregations]
+        agg_codes = column.aggregations
         if len(agg_codes) == 1 and agg_codes[0][0] == 0:
             # pure-sum column: weighted is NaN exactly where no edge exists, so
             # zeroing NaNs in place (as nansum does in a copy) and summing
@@ -336,8 +284,7 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
 
         pre = column.bias + column.response * aggregated
 
-        act_codes = [(code, mask) for code, mask in column.activations
-                     if code in registry.activations]
+        act_codes = column.activations
         if len(act_codes) == 1:
             out = registry.activation(act_codes[0][0])(pre)
         else:
@@ -357,47 +304,53 @@ def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:
         raise InvalidInput("input contains NaN")
 
 
-def forward(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
+def _check_single(stacked: StackedNetworks) -> None:
+    if stacked.size != 1:
+        raise InvalidInput(f"expected a single network, got a stack of {stacked.size}")
+
+
+def forward(stacked: StackedNetworks, registry: FunctionRegistry | None = None,
             inputs=None) -> np.ndarray:
-    """Single input vector (I,) -> output vector (O,)."""
+    """Single input vector (I,) -> output vector (O,) of a stack of one."""
     registry = registry or DEFAULT_REGISTRY
+    _check_single(stacked)
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidInput(f"expected a 1-D input vector, got shape {arr.shape}")
-    _check_inputs(arr, tn.input_rows.shape[0])
-    return forward_arrays(tn.sweep, registry, arr[None, None, :])[0, 0]
+    _check_inputs(arr, stacked.input_rows.shape[1])
+    return forward_arrays(stacked, registry, arr[None, None, :])[0, 0]
 
 
-def forward_batch(tn: TransformedNetwork, registry: FunctionRegistry | None = None,
+def forward_batch(stacked: StackedNetworks, registry: FunctionRegistry | None = None,
                   inputs=None) -> np.ndarray:
-    """Input matrix (B, I) -> output matrix (B, O), vectorized over the batch."""
+    """Input matrix (B, I) -> output matrix (B, O) of a stack of one."""
     registry = registry or DEFAULT_REGISTRY
+    _check_single(stacked)
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInput(f"expected a (B, I) input matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise InvalidInput("batch must contain at least one row")
-    _check_inputs(arr, tn.input_rows.shape[0])
-    return forward_arrays(tn.sweep, registry, arr[None])[0]
+    _check_inputs(arr, stacked.input_rows.shape[1])
+    return forward_arrays(stacked, registry, arr[None])[0]
 
 
-def population_forward(transformed, registry: FunctionRegistry | None = None,
+def population_forward(stacked: StackedNetworks, registry: FunctionRegistry | None = None,
                        inputs=None) -> np.ndarray:
     """Per-genome inputs (P, I) or (P, B, I) -> per-genome outputs.
 
     Elementwise equal (bitwise) to mapping forward over the genomes.
     """
     registry = registry or DEFAULT_REGISTRY
-    stacked = transformed if isinstance(transformed, StackedNetworks) \
-        else StackedNetworks.from_networks(list(transformed))
     arr = np.asarray(inputs, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise InvalidInput(f"expected (P, I) or (P, B, I) inputs, got shape {arr.shape}")
+    if arr.shape[0] != stacked.size:
+        raise InvalidInput(f"expected inputs for {stacked.size} networks, got {arr.shape[0]}")
+    _check_inputs(arr, stacked.input_rows.shape[1])
     if arr.ndim == 2:
-        _check_inputs(arr, stacked.input_rows.shape[1])
         return forward_arrays(stacked, registry, arr[:, None, :])[:, 0, :]
-    if arr.ndim == 3:
-        _check_inputs(arr, stacked.input_rows.shape[1])
-        return forward_arrays(stacked, registry, arr)
-    raise InvalidInput(f"expected (P, I) or (P, B, I) inputs, got shape {arr.shape}")
+    return forward_arrays(stacked, registry, arr)
 
 
 # ---------------------------------------------------------------------------

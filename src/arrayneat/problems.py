@@ -208,7 +208,7 @@ class Problem:
         raise NotImplementedError
 
     def evaluate_stacked(self, stacked: StackedNetworks, registry: FunctionRegistry,
-                         rng: RngStream, indices: np.ndarray | None = None) -> np.ndarray:
+                         rng: RngStream, indices: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate_population_tensors(self, pop: PopulationTensors,
@@ -241,7 +241,7 @@ class XorProblem(Problem):
     def evaluate(self, forward_fn, rng: RngStream | None = None) -> float:
         return eval_xor(forward_fn)
 
-    def evaluate_stacked(self, stacked, registry, rng, indices=None):
+    def evaluate_stacked(self, stacked, registry, rng, indices):
         inputs = np.broadcast_to(XOR_INPUTS, (stacked.size,) + XOR_INPUTS.shape)
         return _xor_fitness(forward_arrays(stacked, registry, inputs))
 
@@ -264,7 +264,7 @@ class RegressionProblem(Problem):
     def evaluate(self, forward_fn, rng: RngStream | None = None) -> float:
         return eval_regression(forward_fn, self.target_fn, self.xs)
 
-    def evaluate_stacked(self, stacked, registry, rng, indices=None):
+    def evaluate_stacked(self, stacked, registry, rng, indices):
         inputs = np.broadcast_to(self.xs[:, None], (stacked.size, self.xs.size, 1))
         return _regression_fitness(forward_arrays(stacked, registry, inputs), self.ys)
 
@@ -280,21 +280,8 @@ class CartPoleProblem(Problem):
             raise ValueError("cart-pole evaluation needs the genome's rng stream")
         return eval_cartpole(forward_fn, rng)
 
-    def evaluate_stacked(self, stacked, registry, rng, indices=None):
-        if indices is None:
-            indices = np.arange(stacked.size)
+    def evaluate_stacked(self, stacked, registry, rng, indices):
         return _cartpole_lockstep(stacked, registry, rng.split(indices))
-
-
-def evaluate_population(problem: Problem, transformed, registry: FunctionRegistry | None = None,
-                        rng: RngStream | None = None) -> np.ndarray:
-    """Batched fitness for an already-transformed population."""
-    registry = registry or DEFAULT_REGISTRY
-    rng = rng or RngStream(0)
-    stacked = transformed if isinstance(transformed, StackedNetworks) \
-        else StackedNetworks.from_networks(list(transformed))
-    return problem.evaluate_stacked(stacked, registry, rng,
-                                    indices=np.arange(stacked.size))
 
 
 _PROBLEMS = {"xor": XorProblem, "regression": RegressionProblem, "cartpole": CartPoleProblem}

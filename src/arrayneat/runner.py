@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import NeatConfig, dump_config, parse_config_text
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .evolution import (STAGE_INIT, GenerationStats, NodeKeyAllocator,
                         SpeciesState, evolve_step, speciate)
 from .genome import (GenomeTensors, PopulationTensors, init_arrays,
@@ -91,7 +91,7 @@ def save_checkpoint(path, state: EvolutionState) -> None:
                 "rep_nodes": sp.representative.nodes,
                 "rep_conns": sp.representative.conns,
                 "member_indices": sp.member_indices,
-                "best_fitness_history": list(sp.best_fitness_history),
+                "best_fitness": sp.best_fitness,
                 "stagnation_counter": sp.stagnation_counter,
                 "spawn_count": sp.spawn_count,
             }
@@ -102,9 +102,37 @@ def save_checkpoint(path, state: EvolutionState) -> None:
         pickle.dump(payload, fh)
 
 
+_CHECKPOINT_KEYS = ("config", "generation", "next_key", "nodes", "conns", "species_id",
+                    "fitness", "stats_rows", "species")
+_SPECIES_KEYS = ("species_key", "rep_nodes", "rep_conns", "member_indices", "best_fitness",
+                 "stagnation_counter", "spawn_count")
+
+
+def _with_keys(entry, keys: tuple[str, ...], what: str) -> dict:
+    """``entry`` if it is a dict holding every one of ``keys``; else IntegrityError."""
+    missing = [key for key in keys if key not in entry] if isinstance(entry, dict) else keys
+    if missing:
+        raise IntegrityError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return entry
+
+
 def load_checkpoint(path) -> EvolutionState:
+    """Restore a saved run; IntegrityError if the file is not a checkpoint of this format.
+
+    Bytes that do not unpickle and payloads that lack a key ``save_checkpoint``
+    writes (a checkpoint of an earlier format, say) are rejected, not converted.
+    """
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except OSError:
+            raise
+        except Exception as err:
+            raise IntegrityError(
+                f"checkpoint {path} is unreadable: {type(err).__name__}: {err}") from None
+    payload = _with_keys(payload, _CHECKPOINT_KEYS, f"checkpoint {path}")
+    entries = [_with_keys(entry, _SPECIES_KEYS, f"checkpoint {path} species {i}")
+               for i, entry in enumerate(payload["species"])]
     config = parse_config_text(payload["config"])
     population = PopulationTensors(payload["nodes"], payload["conns"],
                                    payload["species_id"], payload["fitness"],
@@ -115,11 +143,11 @@ def load_checkpoint(path) -> EvolutionState:
             representative=GenomeTensors(entry["rep_nodes"], entry["rep_conns"],
                                          config.inputs, config.outputs),
             member_indices=entry["member_indices"],
-            best_fitness_history=list(entry["best_fitness_history"]),
+            best_fitness=float(entry["best_fitness"]),
             stagnation_counter=entry["stagnation_counter"],
             spawn_count=entry["spawn_count"],
         )
-        for entry in payload["species"]
+        for entry in entries
     ]
     return EvolutionState(config=config, population=population, species=species,
                           allocator=NodeKeyAllocator(payload["next_key"]),

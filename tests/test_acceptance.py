@@ -247,7 +247,7 @@ def test_iteration_time_stability(tmp_path):
 
 
 def test_transform_once_law():
-    """1000 forwards on one TransformedNetwork equal 1000 transform+forward pairs."""
+    """1000 forwards on one transformed network equal 1000 transform+forward pairs."""
     config = make_config(inputs=2, outputs=1, max_nodes=16, max_conns=32)
     from conftest import random_genome
     genome = random_genome(3, config, n_ops=30)

@@ -1,5 +1,7 @@
 """CLI: run/bench/inspect commands, config handling, checkpoint resume."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,14 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+def earlier_format(payload: bytes) -> bytes:
+    """A checkpoint whose species keep the best-fitness history list of earlier versions."""
+    data = pickle.loads(payload)
+    for entry in data["species"]:
+        entry["best_fitness_history"] = [entry.pop("best_fitness")]
+    return pickle.dumps(data)
+
+
 class TestResume:
     def test_resume_bitwise_matches_uninterrupted(self, tmp_path):
         full_cfg = make_config(seed=5, pop_size=25, generation_limit=12,
@@ -149,6 +159,21 @@ class TestResume:
             (tmp_path / "resumed/stats.csv").read_bytes()
         assert (tmp_path / "full/best_genome.json").read_bytes() == \
             (tmp_path / "resumed/best_genome.json").read_bytes()
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda payload: payload[:len(payload) // 2], "UnpicklingError"),
+        (lambda payload: b"not a checkpoint", "UnpicklingError"),
+        (earlier_format, "'best_fitness'"),
+    ], ids=["truncated", "garbage", "earlier-format"])
+    def test_bad_checkpoint_exits_1(self, tmp_path, capsys, damage, named):
+        run_experiment(make_config(pop_size=10, generation_limit=2,
+                                   fitness_target=float("inf")), tmp_path / "run")
+        ckpt = tmp_path / "run/checkpoint.pkl"
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        capsys.readouterr()
+        assert main(["run", "--resume", str(ckpt), "--out", str(tmp_path / "resumed")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint") and named in err[0]
 
 
 class TestBench:

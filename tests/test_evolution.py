@@ -240,43 +240,46 @@ class TestSpeciate:
 
 
 class TestStagnation:
-    def build(self, key, members, history, counter):
+    def build(self, key, members, best, counter):
         g = random_genome(key, make_config())
         return SpeciesState(species_key=key, representative=g,
                             member_indices=np.array(members),
-                            best_fitness_history=history, stagnation_counter=counter)
+                            best_fitness=best, stagnation_counter=counter)
 
     def test_elitism_floor_retains_stagnant_single_species(self):
         config = make_config(species_elitism=2, max_stagnation=15)
-        sp = self.build(0, [0, 1], [5.0] * 100, 100)
+        sp = self.build(0, [0, 1], 5.0, 100)
         out = update_stagnation([sp], np.array([5.0, 4.0]), config)
         assert len(out) == 1
 
     def test_third_ranked_stagnant_removed(self):
         config = make_config(species_elitism=2, max_stagnation=15, pop_size=30)
         fitness = np.array([9.0, 8.0, 1.0])
-        species = [self.build(0, [0], [9.0], 0), self.build(1, [1], [8.0], 0),
-                   self.build(2, [2], [1.0], 15)]
+        species = [self.build(0, [0], 9.0, 0), self.build(1, [1], 8.0, 0),
+                   self.build(2, [2], 1.0, 15)]
         out = update_stagnation(species, fitness, config)
         assert [sp.species_key for sp in out] == [0, 1]
 
     def test_tie_advances_counter(self):
         config = make_config()
-        sp = self.build(0, [0], [5.0], 3)
+        sp = self.build(0, [0], 5.0, 3)
         out = update_stagnation([sp], np.array([5.0]), config)  # no strict improvement
         assert out[0].stagnation_counter == 4
 
     def test_strict_improvement_resets(self):
         config = make_config()
-        sp = self.build(0, [0], [5.0], 7)
+        sp = self.build(0, [0], 5.0, 7)
         out = update_stagnation([sp], np.array([5.0000001]), config)
         assert out[0].stagnation_counter == 0
 
-    def test_history_appended(self):
+    def test_best_fitness_is_the_running_max(self):
         config = make_config()
-        sp = self.build(0, [0], [1.0, 2.0], 0)
-        out = update_stagnation([sp], np.array([3.0]), config)
-        assert out[0].best_fitness_history == [1.0, 2.0, 3.0]
+        assert SpeciesState(0, random_genome(0, config), np.array([0])).best_fitness == -np.inf
+        sp = self.build(0, [0], 2.0, 0)
+        improved = update_stagnation([sp], np.array([3.0]), config)[0]
+        assert improved.best_fitness == 3.0 and improved.stagnation_counter == 0
+        fell = update_stagnation([improved], np.array([1.0]), config)[0]
+        assert fell.best_fitness == 3.0 and fell.stagnation_counter == 1
 
 
 def spawn_oracle(means, old_sizes, pop_size, rate, eps=1e-9):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from arrayneat import inference
-from arrayneat import (ConnRow, CycleDetected, GenomeTensors, InvalidInput,
+from arrayneat import (ConfigError, ConnRow, CycleDetected, GenomeTensors, InvalidInput,
                        NodeRow, PopulationTensors, RngStream, add_conn, add_node,
                        forward, forward_batch, init_genome, population_forward,
                        population_transform, set_conn_attr, set_node_attr,
                        to_dot, transform)
 from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY
 from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_KEY
-from arrayneat.inference import StackedNetworks, forward_arrays, transform_arrays
+from arrayneat.inference import forward_arrays, transform_arrays
 
 from conftest import make_config, random_genome
 
@@ -28,6 +28,20 @@ def identity_chain_genome():
     return g
 
 
+def conns_expanded(stacked, i=0):
+    """(n, n) weight of the enabled edge from row j into row k of network i, else NaN.
+
+    Rebuilt from the sweep, so edges into input rows (which forward never
+    computes) read NaN.
+    """
+    n = stacked.order.shape[1]
+    rows = stacked.sweep_rows[i]
+    active = rows < n
+    expanded = np.full((n, n), np.nan)
+    expanded[:, rows[active]] = stacked.sweep_weights[i, active].T
+    return expanded
+
+
 class TestTransform:
     def test_chain_topological_order(self):
         config = make_config(inputs=1, outputs=1, max_nodes=5, max_conns=6)
@@ -37,19 +51,21 @@ class TestTransform:
         g = add_conn(g, ConnRow(0, 2, 1.0, 1.0))
         g = add_conn(g, ConnRow(2, 1, 1.0, 1.0))
         tn = transform(g)
-        assert np.array_equal(tn.order[:3], [0.0, 2.0, 1.0])
-        assert np.isnan(tn.order[3:]).all()
+        assert tn.size == 1
+        assert np.array_equal(tn.order[0, :3], [0.0, 2.0, 1.0])
+        assert np.isnan(tn.order[0, 3:]).all()
 
     def test_disabled_connection_is_nan_in_expansion(self):
         g = identity_chain_genome()
         g = set_conn_attr(g, 0, 1, 0, 0.0)
         tn = transform(g)
-        assert np.isnan(tn.conns_expanded[0, 1, 0])
+        assert np.isnan(conns_expanded(tn)[0, 1])
 
     def test_enabled_connection_carries_weight(self):
         tn = transform(identity_chain_genome())
-        assert tn.conns_expanded[0, 1, 0] == 2.0
-        assert tn.conns_expanded.shape == (4, 4, 1)
+        assert np.array_equal(tn.sweep_rows, [[1]])
+        assert tn.sweep_weights.shape == (1, 1, 4)
+        assert tn.sweep_weights[0, 0, 0] == 2.0
 
     def test_cycle_detected(self):
         config = make_config(inputs=1, outputs=1, max_nodes=5, max_conns=8)
@@ -67,15 +83,15 @@ class TestTransform:
             g = random_genome(seed, config)
             tn = transform(g)
             live = ~np.isnan(g.nodes[:, 0])
-            listed = tn.order[~np.isnan(tn.order)].astype(int)
+            listed = tn.order[0][~np.isnan(tn.order[0])].astype(int)
             assert sorted(listed) == sorted(np.nonzero(live)[0])
 
     def test_edges_respect_order(self):
         config = make_config()
         g = random_genome(3, config, n_ops=40)
         tn = transform(g)
-        position = {int(r): i for i, r in enumerate(tn.order[~np.isnan(tn.order)])}
-        src, dst = np.nonzero(~np.isnan(tn.conns_expanded[:, :, 0]))
+        position = {int(r): i for i, r in enumerate(tn.order[0][~np.isnan(tn.order[0])])}
+        src, dst = np.nonzero(~np.isnan(conns_expanded(tn)))
         for s, d in zip(src, dst):
             assert position[int(s)] < position[int(d)]
 
@@ -94,9 +110,8 @@ class TestTransform:
             for conn in g.conns:
                 if conn[CONN_ENABLED] == 1.0:
                     expected[row[int(conn[CONN_IN])], row[int(conn[CONN_OUT])]] = conn[CONN_WEIGHT]
-            got = transform(g).conns_expanded
-            assert got.shape == expected.shape + (1,)
-            assert np.array_equal(got[:, :, 0].view(np.uint64), expected.view(np.uint64))
+            got = conns_expanded(transform(g))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert checked >= 10
 
     def test_connection_into_an_input_is_dropped(self):
@@ -107,8 +122,8 @@ class TestTransform:
         plain = add_conn(g, ConnRow(3, 2, 1.0, -0.4))
         into_input = add_conn(plain, ConnRow(3, 0, 1.0, 0.7))
         tn = transform(into_input)
-        assert np.isnan(tn.conns_expanded[3, 0, 0])
-        assert np.array_equal(tn.conns_expanded, transform(plain).conns_expanded,
+        assert np.isnan(conns_expanded(tn)[3, 0])
+        assert np.array_equal(conns_expanded(tn), conns_expanded(transform(plain)),
                               equal_nan=True)
         x = [0.5, -1.5]
         assert np.array_equal(forward(tn, inputs=x), forward(transform(plain), inputs=x))
@@ -146,15 +161,6 @@ class TestSweep:
         assert counts[smallest] < stacked.sweep_rows.shape[1]
         assert len(stacked.take(np.array([smallest])).columns) == counts[smallest]
 
-    def test_genome_view_round_trips_through_from_networks(self, corpus):
-        stacked, inputs = corpus
-        rebuilt = StackedNetworks.from_networks(
-            [stacked.genome_view(i) for i in range(stacked.size)])
-        assert np.array_equal(rebuilt.sweep_rows, stacked.sweep_rows)
-        assert np.array_equal(rebuilt.sweep_weights, stacked.sweep_weights, equal_nan=True)
-        assert np.array_equal(forward_arrays(rebuilt, DEFAULT_REGISTRY, inputs),
-                              forward_arrays(stacked, DEFAULT_REGISTRY, inputs))
-
 
 class TestForward:
     def test_identity_chain_fixture(self):
@@ -188,15 +194,36 @@ class TestForward:
             assert np.array_equal(a, b)
 
     def test_network_is_compiled_once(self, monkeypatch):
+        compiled, swept = [], []
+        compile_, forward_arrays_ = inference._compile, inference.forward_arrays
+
+        def counted_compile(*args):
+            compiled.append(compile_(*args))
+            return compiled[-1]
+
+        def counted_forward(stacked, registry, x):
+            swept.append(stacked)
+            return forward_arrays_(stacked, registry, x)
+
+        monkeypatch.setattr(inference, "_compile", counted_compile)
+        monkeypatch.setattr(inference, "forward_arrays", counted_forward)
         tn = transform(random_genome(4, make_config(), n_ops=20))
-        swept = []
-        original = inference.forward_arrays
-        monkeypatch.setattr(inference, "forward_arrays",
-                            lambda stacked, registry, x: swept.append(stacked)
-                            or original(stacked, registry, x))
         forward(tn, inputs=[0.1, 0.2])
         forward_batch(tn, inputs=[[0.1, 0.2], [0.3, -0.4]])
-        assert len(swept) == 2 and swept[0] is swept[1] is tn.sweep
+        assert len(compiled) == 1 and compiled[0] is tn
+        assert len(swept) == 2 and swept[0] is swept[1] is tn
+
+    @pytest.mark.parametrize("column", [2, 3], ids=["aggregation", "activation"])
+    def test_unknown_function_code_is_rejected(self, column):
+        config = make_config(inputs=2, outputs=1, max_nodes=8, max_conns=16)
+        tanh = init_genome(config, RngStream(4).child(0, 0, 0))
+        tanh = set_node_attr(tanh, 2, 3, ACTIVATION_IDS["tanh"])
+        unknown = set_node_attr(tanh, 2, column, 9)
+        with pytest.raises(ConfigError, match="code 9"):
+            forward(transform(unknown), inputs=[0.3, -0.7])
+        pop = PopulationTensors.from_genomes([tanh, unknown])
+        with pytest.raises(ConfigError, match="code 9"):
+            population_forward(population_transform(pop), inputs=[[0.3, -0.7]] * 2)
 
     def test_nan_containment(self):
         config = make_config()
@@ -297,6 +324,17 @@ class TestPopulation:
         assert out.shape == (4, 7, 1)
         for i, g in enumerate(genomes):
             assert np.array_equal(out[i], forward_batch(transform(g), inputs=xs[i]))
+
+    @pytest.mark.parametrize("call", [
+        lambda s: population_forward(s, inputs=np.zeros((s.size + 1, 2))),
+        lambda s: population_forward(s, inputs=np.zeros((s.size - 1, 5, 2))),
+        lambda s: forward(s, inputs=[0.1, 0.2]),
+        lambda s: forward_batch(s, inputs=[[0.1, 0.2]]),
+    ], ids=["population_forward-2d", "population_forward-3d", "forward", "forward_batch"])
+    def test_leading_axis_must_match_the_stack(self, call):
+        pop, _ = self.make_population(range(3), make_config())
+        with pytest.raises(InvalidInput):
+            call(population_transform(pop))
 
     def test_cycle_reported_with_genome_index(self):
         config = make_config(inputs=1, outputs=1, max_nodes=5, max_conns=8)

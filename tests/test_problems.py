@@ -8,8 +8,8 @@ import pytest
 from arrayneat import (CartPoleProblem, CartPoleState, RegressionProblem,
                        RngStream, ShapeMismatch, TerminalState, XorProblem,
                        cartpole_step, eval_cartpole, eval_regression, eval_xor,
-                       evaluate_population, forward, init_genome, make_problem,
-                       problems, set_conn_attr, transform)
+                       forward, init_genome, make_problem, problems, set_conn_attr,
+                       transform)
 from arrayneat.errors import ConfigError
 from arrayneat.genome import PopulationTensors
 from arrayneat.problems import MAX_STEPS, THETA_LIMIT, X_LIMIT, regression_grid
@@ -218,17 +218,6 @@ class TestEvaluatePopulation:
             [random_genome(s, config, n_ops=10) for s in range(7)])
         fitness = problem.evaluate_population_tensors(pop)
         assert fitness.shape == (7,)
-
-    def test_free_function_on_transformed(self):
-        from arrayneat import population_transform
-        config = make_config(inputs=2, outputs=1)
-        problem = XorProblem()
-        pop = PopulationTensors.from_genomes(
-            [random_genome(s, config, n_ops=10) for s in range(5)])
-        nets = population_transform(pop)
-        a = evaluate_population(problem, nets)
-        b = problem.evaluate_population_tensors(pop)
-        assert np.array_equal(a, b)
 
     def test_single_genome_population(self):
         config = make_config(inputs=2, outputs=1)
