@@ -86,6 +86,10 @@ class NeatConfig:
     regression_samples: int = 64
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{f.name} must be a number, got nan")
         for name in _PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -189,7 +193,12 @@ def parse_config_text(text: str, overrides: dict | None = None) -> NeatConfig:
 
 def load_config(path, overrides: dict | None = None) -> NeatConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text "
+                              f"({err.reason} at byte {err.start})") from None
+    return parse_config_text(text, overrides)
 
 
 def dump_config(config: NeatConfig) -> str:

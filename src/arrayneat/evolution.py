@@ -26,8 +26,8 @@ from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      GenomeTensors, PopulationTensors)
 from .parallel import run_chunked
 from .rng import RngStream
-from .search import (CONN_DOMAIN, match_aligned, match_rows, pair_codes,
-                     rows_of_io_keys)
+from .search import (CONN_DOMAIN, bit_address, bitset_members, bitsets, match_aligned,
+                     match_rows, pair_codes, rows_of_io_keys)
 
 # stage tags for stream paths
 STAGE_INIT = 0
@@ -71,7 +71,6 @@ class GenerationStats:
     mean_live_nodes: float
     mean_live_conns: float
     elapsed_seconds: float
-    best_index: int
     solved: bool
     best_genome: GenomeTensors | None = None
 
@@ -102,8 +101,11 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
                     rng: RngStream) -> None:
     """Blend attributes of the less fit parent into owned fitter-parent arrays.
 
-    Coin draws cover a fixed (max_nodes x 4) + (max_conns x 2) grid but are
-    only computed at the homologous cells that consume them.
+    Topology (and padding layout) comes from the fitter parent, ``out_*``;
+    each attribute of a gene that is also live in the less fit parent is
+    taken from either parent with probability one half.  Coin draws cover a
+    fixed (max_nodes x 4) + (max_conns x 2) grid but are only computed at the
+    homologous cells that consume them.
     """
     pop, n, _ = out_nodes.shape
     c = out_conns.shape[1]
@@ -135,21 +137,6 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
         out_conns[pm[take], rm[take], col] = less_conns[pm[take], matched[take], col]
 
 
-def crossover_arrays(fit_nodes: np.ndarray, fit_conns: np.ndarray,
-                     less_nodes: np.ndarray, less_conns: np.ndarray,
-                     rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Masked blend of aligned gene tensors.
-
-    Topology (and padding layout) comes from the fitter parent; each attribute
-    of a gene that is also live in the less fit parent is taken from either
-    parent with probability one half.
-    """
-    out_nodes = fit_nodes.copy()
-    out_conns = fit_conns.copy()
-    _crossover_into(out_nodes, out_conns, less_nodes, less_conns, rng)
-    return out_nodes, out_conns
-
-
 def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,
               rng: RngStream) -> GenomeTensors:
     """Single-pair crossover; the caller orders parents by fitness."""
@@ -159,9 +146,10 @@ def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,
     if parent_fit.nodes.shape != parent_less.nodes.shape \
             or parent_fit.conns.shape != parent_less.conns.shape:
         raise ShapeMismatch("parents disagree on tensor capacity")
-    nodes, conns = crossover_arrays(parent_fit.nodes[None], parent_fit.conns[None],
-                                    parent_less.nodes[None], parent_less.conns[None], rng)
-    return GenomeTensors(nodes[0], conns[0], parent_fit.num_inputs, parent_fit.num_outputs)
+    nodes, conns = parent_fit.nodes.copy(), parent_fit.conns.copy()
+    _crossover_into(nodes[None], conns[None],
+                    parent_less.nodes[None], parent_less.conns[None], rng)
+    return GenomeTensors(nodes, conns, parent_fit.num_inputs, parent_fit.num_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +157,18 @@ def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,
 # ---------------------------------------------------------------------------
 
 def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
-                  rng: RngStream, new_node_keys: np.ndarray, copy: bool = True
+                  rng: RngStream, new_node_keys: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the five mutation sub-steps to every genome at once.
+    """Apply the five mutation sub-steps to every genome at once, in place.
 
-    Sub-step order is fixed: node addition, node deletion, connection
-    addition, connection deletion, attribute perturbation.  Structural steps
-    that cannot proceed (no candidates, capacity full) are silent no-ops.
+    Callers pass ``nodes`` and ``conns`` they own, of any capacity.  Sub-step
+    order is fixed: node addition, node deletion, connection addition,
+    connection deletion, attribute perturbation.  Structural steps that
+    cannot proceed (no candidates, capacity full) are silent no-ops.
     ``new_node_keys`` holds one pre-reserved key per genome, consumed only by
-    a firing node addition.  Returns the mutated tensors plus the mask of
+    a firing node addition.  Returns the same two arrays plus the mask of
     genomes whose node addition fired.
     """
-    if copy:
-        nodes = nodes.copy()
-        conns = conns.copy()
     pop, n, _ = nodes.shape
     c = conns.shape[1]
     n_io = config.inputs + config.outputs
@@ -329,10 +315,12 @@ def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
     """Connection-addition sub-step for the fired genome subset (in place).
 
     Candidates live in a compacted live-node rank space so the acyclicity
-    closure only pays for live nodes.  Rank order equals row order, so the
-    uniform pick enumerates candidates exactly as the full-width formulation
-    would; all quantities here are boolean or integer, hence exact regardless
-    of how the population is batched.
+    closure only pays for live nodes; reachable sets are bitsets of
+    ``ceil(m / 64)`` words, so one code path serves any number ``m`` of live
+    nodes.  Rank order equals row order, so the uniform pick enumerates
+    candidates exactly as the full-width formulation would; all quantities
+    here are boolean or integer, hence exact regardless of how the population
+    is batched.
     """
     n_io = config.inputs + config.outputs
     live_node = ~np.isnan(nodes[sub, :, NODE_KEY])
@@ -355,39 +343,25 @@ def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
 
     live_conn = ~np.isnan(conns[sub, :, CONN_IN])
     count = sub.size
-    exists = np.zeros((count, m, m), dtype=bool)
     fm, cm = np.nonzero(live_conn)
-    exists[fm, in_rank[fm, cm], out_rank[fm, cm]] = True
+    # row u of ``reach`` starts as the set of ranks u has a live connection to
+    reach = bitsets((count, m), m, (fm, in_rank[fm, cm]), out_rank[fm, cm])
 
-    allowed = valid[:, :, None] & valid[:, None, :] & ~exists
+    allowed = valid[:, :, None] & valid[:, None, :] & ~bitset_members(reach, m)
     is_output = (rank_keys >= config.inputs) & (rank_keys < n_io)
     is_input = rank_keys < config.inputs
     allowed &= ~is_output[:, :, None]
     allowed &= ~is_input[:, None, :]
     if config.network_type == "feedforward":
-        # u -> v is safe iff v does not already reach u over live connections
-        if m <= 64:
-            # bitset Floyd-Warshall: word w holds the reachable-set of node w
-            bits = np.zeros((count, m), dtype=np.uint64)
-            np.bitwise_or.at(bits, (fm, in_rank[fm, cm]),
-                             np.uint64(1) << out_rank[fm, cm].astype(np.uint64))
-            bits |= np.uint64(1) << np.arange(m, dtype=np.uint64)
-            for k in range(m):
-                via_k = (bits >> np.uint64(k)) & np.uint64(1)
-                bits |= via_k * bits[:, k][:, None]
-            reach = ((bits[:, :, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)) \
-                .astype(bool)
-        else:
-            reach = exists | np.eye(m, dtype=bool)[None]
-            hops = 1
-            while hops < m:
-                as_float = reach.astype(np.float32)
-                grown = reach | (np.matmul(as_float, as_float) > 0)
-                if np.array_equal(grown, reach):
-                    break
-                reach = grown
-                hops *= 2
-        allowed &= ~np.transpose(reach, (0, 2, 1))
+        # u -> v is safe iff v does not already reach u over live connections;
+        # bitset Floyd-Warshall closes ``reach`` over paths, u reaching itself
+        ranks = np.arange(m)
+        word, bit = bit_address(ranks)
+        reach[:, ranks, word] |= bit
+        for k in ranks:
+            via_k = (reach[:, :, word[k], None] & bit[k]) != 0
+            reach |= via_k * reach[:, k, None, :]
+        allowed &= ~np.transpose(bitset_members(reach, m), (0, 2, 1))
 
     pick_flat, has_candidate = _pick_kth_true(allowed.reshape(count, m * m), u_pick)
     u_rank, v_rank = np.divmod(pick_flat, m)
@@ -410,11 +384,11 @@ def mutate(genome: GenomeTensors, config: NeatConfig, rng: RngStream,
            allocator: NodeKeyAllocator) -> GenomeTensors:
     """Mutate one genome; consumes one allocator key only if node addition fires."""
     provisional = float(allocator.next_key)
-    nodes, conns, added = mutate_arrays(genome.nodes[None], genome.conns[None],
-                                        config, rng, np.array([provisional]))
+    nodes, conns = genome.nodes.copy(), genome.conns.copy()
+    _, _, added = mutate_arrays(nodes[None], conns[None], config, rng, np.array([provisional]))
     if added[0]:
         allocator.allocate()
-    return GenomeTensors(nodes[0], conns[0], genome.num_inputs, genome.num_outputs)
+    return GenomeTensors(nodes, conns, genome.num_inputs, genome.num_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -691,19 +665,20 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.n
         less_pos = np.maximum(a, b)
         fit_idx = pool[fit_pos]
         less_idx = pool[less_pos]
-        child_nodes = pop.nodes[fit_idx]  # fancy indexing yields private copies
-        child_conns = pop.conns[fit_idx]
+        # children are built in their rows of the next population; mode="clip"
+        # lets take write into ``out`` without buffering (indices are valid)
+        child_nodes = out_nodes[lo:hi]
+        child_conns = out_conns[lo:hi]
+        np.take(pop.nodes, fit_idx, axis=0, out=child_nodes, mode="clip")
+        np.take(pop.conns, fit_idx, axis=0, out=child_conns, mode="clip")
         _crossover_into(child_nodes, child_conns,
                         pop.nodes[less_idx], pop.conns[less_idx], streams)
-        child_nodes, child_conns, _ = mutate_arrays(
-            child_nodes, child_conns, config, streams, new_keys[lo:hi], copy=False)
+        mutate_arrays(child_nodes, child_conns, config, streams, new_keys[lo:hi])
         elites = elite_src[lo:hi]
         mask = elites >= 0
         if mask.any():
             child_nodes[mask] = pop.nodes[elites[mask]]
             child_conns[mask] = pop.conns[elites[mask]]
-        out_nodes[lo:hi] = child_nodes
-        out_conns[lo:hi] = child_conns
 
     run_chunked(total, threads, sequential, work)
     return PopulationTensors(out_nodes, out_conns,
@@ -747,7 +722,6 @@ def evolve_step(pop: PopulationTensors, species: list[SpeciesState], config: Nea
         mean_live_nodes=float(live_nodes.mean()),
         mean_live_conns=float(live_conns.mean()),
         elapsed_seconds=0.0,
-        best_index=best_index,
         solved=False,
         best_genome=evaluated.genome(best_index),
     )

@@ -63,17 +63,5 @@ class FunctionRegistry:
         except KeyError:
             raise ConfigError(f"unknown aggregation code {code}") from None
 
-    def activation_id(self, name: str) -> int:
-        for code, (n, _) in self.activations.items():
-            if n == name:
-                return code
-        raise ConfigError(f"unknown activation function {name!r}")
-
-    def aggregation_id(self, name: str) -> int:
-        for code, (n, _) in self.aggregations.items():
-            if n == name:
-                return code
-        raise ConfigError(f"unknown aggregation function {name!r}")
-
 
 DEFAULT_REGISTRY = FunctionRegistry()

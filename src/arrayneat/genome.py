@@ -366,7 +366,14 @@ def _tensor_from_cells(cells, rows: int, cols: int, field: str) -> np.ndarray:
             if cell is None:
                 out[i, j] = np.nan
             elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                out[i, j] = float(cell)
+                try:
+                    value = float(cell)
+                except OverflowError:
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ParseError(f"field {field!r}, row {i}, cell {j}: "
+                                     f"expected a finite number, got {value}")
+                out[i, j] = value
             else:
                 raise ParseError(f"field {field!r}, row {i}, cell {j}: "
                                  f"expected a number or null, got {cell!r}")
@@ -376,11 +383,16 @@ def _tensor_from_cells(cells, rows: int, cols: int, field: str) -> np.ndarray:
 def parse_genome(data: bytes | str) -> GenomeTensors:
     """Inverse of serialize_genome; round-trips bitwise including padding."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text ({err.reason} at byte {err.start})") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except ValueError:  # an integer literal past Python's digit limit
+        raise ParseError("a number has too many digits to read") from None
     if not isinstance(doc, dict):
         raise ParseError("genome document must be a JSON object")
     for field in ("num_inputs", "num_outputs", "max_nodes", "max_conns", "nodes", "conns"):

@@ -40,7 +40,7 @@ from .functions import DEFAULT_REGISTRY, FunctionRegistry
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
                      GenomeTensors, PopulationTensors)
-from .search import rows_of_io_keys
+from .search import bitset_members, bitsets, rows_of_io_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,15 +159,16 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
     """Kahn's algorithm over every genome at once, compiled into the sweep.
 
     Ties break toward the smallest node row index, which makes the order (and
-    therefore every later floating-point sweep) deterministic.  Returns the
-    stacked networks plus the indices of genomes whose enabled connections
-    contain a cycle (their order is left incomplete).
+    therefore every later floating-point sweep) deterministic.  Successor
+    sets are bitsets of ``ceil(max_nodes / 64)`` words, so one code path
+    serves every node capacity.  Returns the stacked networks plus the
+    indices of genomes whose enabled connections contain a cycle (their order
+    is left incomplete).
     """
     pop, n, _ = nodes.shape
     keys = nodes[:, :, NODE_KEY]
     live_node = ~np.isnan(keys)
-    live_conn = ~np.isnan(conns[:, :, CONN_IN])
-    enabled = live_conn & (conns[:, :, CONN_ENABLED] == 1.0)
+    enabled = ~np.isnan(conns[:, :, CONN_IN]) & (conns[:, :, CONN_ENABLED] == 1.0)
 
     # endpoint keys and fixed input/output keys -> node row positions
     c = conns.shape[1]
@@ -176,23 +177,16 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
         [conns[:, :, CONN_IN], conns[:, :, CONN_OUT],
          np.broadcast_to(np.arange(io, dtype=np.float64), (pop, io))], axis=1)
     resolved, _ = rows_of_io_keys(queries, keys, io)
-    in_row = resolved[:, :c]
-    out_row = resolved[:, c:2 * c]
     io_rows = resolved[:, 2 * c:]
 
     pm, rm = np.nonzero(enabled)
-    src_sel = in_row[pm, rm]
-    dst_sel = out_row[pm, rm]
+    src_sel = resolved[pm, rm]
+    dst_sel = resolved[pm, c + rm]
 
     indegree = np.zeros((pop, n), dtype=np.int64)
     np.add.at(indegree, (pm, dst_sel), 1)
-    use_bitmasks = n <= 64
-    if use_bitmasks:
-        # successor sets as bitmasks so Kahn's decrement is two shifts per step
-        successors = np.zeros((pop, n), dtype=np.uint64)
-        np.bitwise_or.at(successors, (pm, src_sel),
-                         np.uint64(1) << dst_sel.astype(np.uint64))
-        bit_positions = np.arange(n, dtype=np.uint64)
+    # successor sets as bitsets, so Kahn's decrement is one unpack per step
+    successors = bitsets((pop, n), n, (pm, src_sel), dst_sel)
 
     genome_rows = np.arange(pop)
     order = np.full((pop, n), np.nan)
@@ -205,13 +199,8 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
         pick = ready.argmax(axis=1)
         order[has_ready, step] = pick[has_ready]
         remaining[has_ready, pick[has_ready]] = False
-        if use_bitmasks:
-            picked_bits = np.where(has_ready, successors[genome_rows, pick], np.uint64(0))
-            indegree -= ((picked_bits[:, None] >> bit_positions) & np.uint64(1)).astype(np.int64)
-        else:
-            out_edges = enabled & (in_row == pick[:, None]) & has_ready[:, None]
-            em, ec = np.nonzero(out_edges)
-            np.subtract.at(indegree, (em, out_row[em, ec]), 1)
+        picked = np.where(has_ready[:, None], successors[genome_rows, pick], np.uint64(0))
+        indegree -= bitset_members(picked, n)
 
     cyclic = np.nonzero(remaining.any(axis=1))[0]
 

@@ -202,10 +202,6 @@ class Problem:
     name: str
     input_size: int
     output_size: int
-    episodic: bool = False
-
-    def evaluate(self, forward_fn, rng: RngStream | None = None) -> float:
-        raise NotImplementedError
 
     def evaluate_stacked(self, stacked: StackedNetworks, registry: FunctionRegistry,
                          rng: RngStream, indices: np.ndarray) -> np.ndarray:
@@ -238,9 +234,6 @@ class XorProblem(Problem):
     input_size = 2
     output_size = 1
 
-    def evaluate(self, forward_fn, rng: RngStream | None = None) -> float:
-        return eval_xor(forward_fn)
-
     def evaluate_stacked(self, stacked, registry, rng, indices):
         inputs = np.broadcast_to(XOR_INPUTS, (stacked.size,) + XOR_INPUTS.shape)
         return _xor_fitness(forward_arrays(stacked, registry, inputs))
@@ -261,9 +254,6 @@ class RegressionProblem(Problem):
         self.xs = regression_grid(samples)
         self.ys = self.target_fn(self.xs)
 
-    def evaluate(self, forward_fn, rng: RngStream | None = None) -> float:
-        return eval_regression(forward_fn, self.target_fn, self.xs)
-
     def evaluate_stacked(self, stacked, registry, rng, indices):
         inputs = np.broadcast_to(self.xs[:, None], (stacked.size, self.xs.size, 1))
         return _regression_fitness(forward_arrays(stacked, registry, inputs), self.ys)
@@ -273,12 +263,6 @@ class CartPoleProblem(Problem):
     name = "cartpole"
     input_size = 4
     output_size = 1
-    episodic = True
-
-    def evaluate(self, forward_fn, rng: RngStream | None = None) -> float:
-        if rng is None:
-            raise ValueError("cart-pole evaluation needs the genome's rng stream")
-        return eval_cartpole(forward_fn, rng)
 
     def evaluate_stacked(self, stacked, registry, rng, indices):
         return _cartpole_lockstep(stacked, registry, rng.split(indices))

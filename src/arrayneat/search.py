@@ -1,4 +1,5 @@
-"""Batched gene lookup: per-row sorted tables plus a flat binary search.
+"""Batched gene lookup (per-row sorted tables plus a flat binary search) and
+the bitset layout for node sets.
 
 Genes are identified by a float64 code (a node key, or a packed connection
 key pair).  Hot callers first try cheap structural fast paths (genes of
@@ -18,6 +19,30 @@ PAIR_SHIFT = float(2 ** 26)
 # offset separating connection codes from node-key codes when both gene kinds
 # share one lookup table; total stays below 2**53, hence exact
 CONN_DOMAIN = float(2 ** 52)
+
+
+# node sets as bitsets: a set over ``width`` members is ceil(width / 64)
+# uint64 words on the last axis, and member j is bit j % 64 of word j // 64
+
+def bit_address(members) -> tuple[np.ndarray, np.ndarray]:
+    """Word index and single-bit uint64 mask of each set member."""
+    members = np.asarray(members, dtype=np.int64)
+    return members >> 6, np.uint64(1) << (members & 63).astype(np.uint64)
+
+
+def bitsets(shape: tuple, width: int, cells: tuple, members: np.ndarray) -> np.ndarray:
+    """Sets over ``width`` members, one per cell of ``shape``, with
+    ``members[i]`` in the set at cell ``cells[i]``."""
+    sets = np.zeros(shape + (-(-width // 64),), dtype=np.uint64)
+    word, bit = bit_address(members)
+    np.bitwise_or.at(sets, cells + (word,), bit)
+    return sets
+
+
+def bitset_members(sets: np.ndarray, width: int) -> np.ndarray:
+    """(..., words) uint64 bitsets -> (..., width) bool membership."""
+    as_bytes = np.ascontiguousarray(sets, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=width, bitorder="little").view(bool)
 
 
 def pair_codes(conns: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arrayneat import (ConnRow, GenomeTensors, NeatConfig, NodeRow, RngStream,
-                       add_conn, add_node, init_genome, remove_conn, remove_node,
-                       set_conn_attr, set_node_attr)
-from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, NODE_KEY
+from arrayneat import (ConnRow, GenomeTensors, NeatConfig, NodeKeyAllocator, NodeRow,
+                       PopulationTensors, RngStream, add_conn, add_node, init_genome,
+                       remove_conn, remove_node, set_conn_attr, set_node_attr)
+from arrayneat.evolution import mutate_arrays
+from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, NODE_KEY, init_arrays
 
 
 def make_config(**overrides) -> NeatConfig:
@@ -139,3 +140,17 @@ def random_genome(seed: int, config: NeatConfig, n_ops: int = 25) -> GenomeTenso
     for _ in range(n_ops):
         genome = random_valid_op(genome, config, rng, next_key)
     return genome
+
+
+def grown_population(config: NeatConfig, rounds: int, seed: int = 0) -> PopulationTensors:
+    """Fresh population after ``rounds`` of batched mutation under ``config``."""
+    pop_size = config.pop_size
+    slots = np.arange(pop_size)
+    nodes, conns = init_arrays(config, RngStream(seed).child(0, 0).split(slots))
+    allocator = NodeKeyAllocator(config.inputs + config.outputs)
+    for generation in range(1, rounds + 1):
+        base = allocator.reserve(pop_size)
+        mutate_arrays(nodes, conns, config, RngStream(seed).child(generation, 2).split(slots),
+                      np.arange(base, base + pop_size, dtype=np.float64))
+    return PopulationTensors(nodes, conns, np.full(pop_size, -1, dtype=np.int64),
+                             np.full(pop_size, np.nan), config.inputs, config.outputs)

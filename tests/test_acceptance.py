@@ -14,15 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arrayneat import (NeatConfig, NodeKeyAllocator, PopulationTensors, RngStream,
-                       decode, distance, forward, graph_distance, graph_forward,
-                       init_genome, population_forward, run_experiment, transform)
+from arrayneat import (NeatConfig, RngStream, decode, distance, forward, graph_distance,
+                       graph_forward, init_genome, population_forward, run_experiment,
+                       transform)
 from arrayneat.cli import main
-from arrayneat.evolution import STAGE_INIT, mutate_arrays
-from arrayneat.genome import check_integrity, init_arrays
+from arrayneat.genome import check_integrity
 from arrayneat.inference import transform_arrays
 
-from conftest import dfs_has_cycle, make_config, random_valid_op
+from conftest import dfs_has_cycle, grown_population, make_config, random_valid_op
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -50,19 +49,7 @@ RANDOM_GENOME_CONFIG = NeatConfig(
 def genome_corpus():
     """1000 varied feedforward genomes (<= 32 nodes, <= 64 conns)."""
     config = RANDOM_GENOME_CONFIG
-    streams = RngStream(2024).child(0, STAGE_INIT).split(np.arange(config.pop_size))
-    nodes, conns = init_arrays(config, streams)
-    allocator = NodeKeyAllocator(config.inputs + config.outputs)
-    for round_index in range(8):
-        stage = RngStream(2024).child(round_index + 1, 2).split(np.arange(config.pop_size))
-        base = allocator.reserve(config.pop_size)
-        keys = np.arange(base, base + config.pop_size, dtype=np.float64)
-        nodes, conns, _ = mutate_arrays(nodes, conns, config, stage, keys)
-    pop = PopulationTensors(nodes, conns,
-                            np.full(config.pop_size, -1, dtype=np.int64),
-                            np.full(config.pop_size, np.nan),
-                            config.inputs, config.outputs)
-    return config, pop
+    return config, grown_population(config, rounds=8, seed=2024)
 
 
 def run_xor_seed(seed: int, out_dir, generation_limit=300, fitness_target=3.9,

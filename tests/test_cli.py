@@ -76,6 +76,15 @@ class TestConfigParsing:
         assert make_config(network_type="feedforward").network_type == "feedforward"
 
 
+    @pytest.mark.parametrize("name", ["weight_mutate_power", "compatibility_threshold",
+                                      "attr_min", "bias_init_std"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            parse_config_text(f"{name} = nan\n")
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            make_config(**{name: float("nan")})
+
+
 class TestRun:
     def test_run_writes_artifacts_and_exit_code(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -128,6 +137,12 @@ class TestRun:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_undecodable_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("pop_size = 30  # f\xfcnf\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 def earlier_format(payload: bytes) -> bytes:
@@ -221,8 +236,18 @@ class TestInspect:
         out = capsys.readouterr().out
         assert out.startswith("digraph") and "n0 -> n2" in out
 
-    def test_malformed_file_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", [
+        lambda text: b"{oops",
+        lambda text: text.replace(b'"nodes"', '"n\u00f6des"'.encode("latin-1")),
+        lambda text: text.replace(b"1.0", b"1e999", 1),
+        lambda text: text.replace(b"1.0", b"-Infinity", 1),
+        lambda text: text.replace(b"1.0", b"NaN", 1),
+        lambda text: text.replace(b"1.0", b"1" + b"0" * 400, 1),
+        lambda text: text.replace(b"1.0", b"1" + b"0" * 5000, 1),
+    ], ids=["truncated", "not-utf8", "overflow", "infinity", "nan", "huge-int",
+            "too-many-digits"])
+    def test_malformed_file_exits_1(self, tmp_path, capsys, damage):
         path = tmp_path / "broken.json"
-        path.write_text("{oops")
+        path.write_bytes(damage(self.write_genome(tmp_path).read_bytes()))
         assert main(["inspect", "--genome", str(path)]) == 1
         assert "inspect:" in capsys.readouterr().err

@@ -11,8 +11,25 @@ from arrayneat import (ConnRow, NodeKeyAllocator, PopulationTensors, RngStream,
 from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT,
                               NODE_KEY, NODE_RESPONSE, check_integrity)
 
-from conftest import (dfs_has_cycle, live_conn_pairs, live_node_keys,
+from arrayneat.evolution import _add_connections
+
+from conftest import (dfs_has_cycle, grown_population, live_conn_pairs, live_node_keys,
                       make_config, random_genome)
+
+
+def busy_config(**overrides):
+    """Every structural and attribute mutation fires often."""
+    base = dict(node_add=0.5, node_delete=0.2, conn_add=0.6, conn_delete=0.2,
+                response_mutate_rate=0.3, response_mutate_power=0.3,
+                enabled_mutate_rate=0.2, activation_options=("tanh", "relu"),
+                activation_replace_rate=0.3, aggregation_options=("sum", "max"),
+                aggregation_replace_rate=0.3)
+    base.update(overrides)
+    return make_config(**base)
+
+
+def frozen_copy(*arrays) -> list[bytes]:
+    return [a.tobytes() for a in arrays]
 
 
 def quiet_config(**overrides):
@@ -80,6 +97,68 @@ class TestMutate:
                 assert not (config.inputs <= src < config.inputs + config.outputs)
             assert not dfs_has_cycle(out)                        # live graph stays acyclic
             check_integrity(out)
+
+    def test_conn_add_beyond_64_live_nodes_stays_acyclic(self):
+        config = quiet_config(max_nodes=100, max_conns=400, pop_size=8,
+                              node_add=0.9, conn_add=1.0)
+        pop = grown_population(config, rounds=90)
+        assert (~np.isnan(pop.nodes[:, :, NODE_KEY])).sum(axis=1).min() > 64
+        for i in range(pop.size):
+            genome = pop.genome(i)
+            assert not dfs_has_cycle(genome)
+            check_integrity(genome)
+
+    def test_conn_add_candidates_match_brute_force_reachability(self):
+        config = quiet_config(max_nodes=100, max_conns=300, pop_size=4,
+                              node_add=0.9, conn_add=0.5)
+        pop = grown_population(config, rounds=80, seed=3)
+        live = (~np.isnan(pop.nodes[:, :, NODE_KEY])).sum(axis=1)
+        genome = pop.genome(int(live.argmax()))
+        keys = live_node_keys(genome)                    # in row order
+        assert len(keys) > 64
+        free_row = int(np.isnan(genome.conns[:, CONN_IN]).argmax())
+        assert np.isnan(genome.conns[free_row, CONN_IN])
+
+        children: dict[int, list[int]] = {}
+        for i, o in live_conn_pairs(genome):
+            children.setdefault(i, []).append(o)
+
+        def descendants(key):
+            seen, frontier = {key}, [key]
+            while frontier:
+                for nxt in children.get(frontier.pop(), []):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            return seen
+
+        below = {k: descendants(k) for k in keys}
+        present = set(live_conn_pairs(genome))
+        n_io = config.inputs + config.outputs
+        expected = [(u, v) for u in keys for v in keys
+                    if not config.inputs <= u < n_io and v >= config.inputs
+                    and (u, v) not in present and u not in below[v]]
+
+        # the i-th of K candidates is picked by u = (i + 0.5) / K
+        total = len(expected)
+        picked = []
+        for lo in range(0, total, 400):
+            count = min(400, total - lo)
+            nodes = np.repeat(genome.nodes[None], count, axis=0)
+            conns = np.repeat(genome.conns[None], count, axis=0)
+            u_pick = (np.arange(lo, lo + count) + 0.5) / total
+            _add_connections(nodes, conns, config, np.arange(count), u_pick, np.zeros(count))
+            picked += [(int(i), int(o)) for i, o in conns[:, free_row, :2]]
+        assert picked == expected
+
+    def test_input_arrays_unchanged(self):
+        config = busy_config()
+        for seed in range(6):
+            g = random_genome(seed, config, n_ops=30)
+            before = frozen_copy(g.nodes, g.conns)
+            out = mutate(g, config, RngStream(seed).child(0, 2, 0), NodeKeyAllocator(500))
+            assert frozen_copy(g.nodes, g.conns) == before
+            assert not genomes_equal(out, g)
 
     def test_node_delete_cascades(self):
         config = quiet_config(node_delete=1.0)
@@ -388,6 +467,14 @@ class TestCrossover:
         only_in_g2 = set(live_conn_pairs(g2)) - set(live_conn_pairs(g1))
         assert not (set(live_conn_pairs(out)) & only_in_g2)
 
+    def test_parents_unchanged(self, config):
+        g1 = random_genome(7, config, n_ops=30)
+        g2 = random_genome(77, config, n_ops=30)
+        before = frozen_copy(g1.nodes, g1.conns, g2.nodes, g2.conns)
+        out = crossover(g1, g2, RngStream(4).child(0, 2, 0))
+        assert frozen_copy(g1.nodes, g1.conns, g2.nodes, g2.conns) == before
+        assert not genomes_equal(out, g1)
+
     def test_io_mismatch(self):
         g1 = random_genome(1, make_config(inputs=2, outputs=1))
         g2 = random_genome(1, make_config(inputs=1, outputs=1, max_nodes=12, max_conns=24))
@@ -443,6 +530,18 @@ class TestReproduce:
         ranked = np.argsort(-state.population.fitness, kind="stable")
         for slot in range(out.size):
             assert genomes_equal(out.genome(slot), state.population.genome(int(ranked[slot])))
+
+    def test_parent_population_unchanged(self):
+        config = busy_config(pop_size=30, seed=2)
+        state = self.evaluated_state(config)
+        pop = state.population
+        species = allocate_spawns(update_stagnation(state.species, pop.fitness, config),
+                                  pop.fitness, config)
+        before = frozen_copy(pop.nodes, pop.conns, pop.fitness, pop.species_id)
+        for threads in (1, 2):
+            reproduce(pop, species, pop.fitness, config,
+                      RngStream(config.seed).child(0), state.allocator, threads=threads)
+            assert frozen_copy(pop.nodes, pop.conns, pop.fitness, pop.species_id) == before
 
     def test_allocator_reserves_pop_size_keys(self):
         config = make_config(pop_size=20)

@@ -5,15 +5,15 @@ import pytest
 
 from arrayneat import inference
 from arrayneat import (ConfigError, ConnRow, CycleDetected, GenomeTensors, InvalidInput,
-                       NodeRow, PopulationTensors, RngStream, add_conn, add_node,
-                       forward, forward_batch, init_genome, population_forward,
-                       population_transform, set_conn_attr, set_node_attr,
-                       to_dot, transform)
+                       NodeRow, PopulationTensors, RngStream, add_conn, add_node, decode,
+                       forward, forward_batch, graph_forward, init_genome,
+                       population_forward, population_transform, set_conn_attr,
+                       set_node_attr, to_dot, transform)
 from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY
 from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_KEY
 from arrayneat.inference import forward_arrays, transform_arrays
 
-from conftest import make_config, random_genome
+from conftest import grown_population, make_config, random_genome
 
 
 def identity_chain_genome():
@@ -160,6 +160,76 @@ class TestSweep:
         smallest = int(np.argmin(counts))
         assert counts[smallest] < stacked.sweep_rows.shape[1]
         assert len(stacked.take(np.array([smallest])).columns) == counts[smallest]
+
+
+class TestWideCapacity:
+    """More than 64 node rows: the bitset successor sets span several words."""
+
+    @pytest.fixture(scope="class")
+    def spread(self):
+        # genomes of capacity 40, stored again at capacity 130 with each row r
+        # moved to the increasing row rows[r], so most hidden nodes sit past 64
+        config = make_config(max_nodes=40, max_conns=80)
+        genomes = [random_genome(s, config, n_ops=120) for s in range(24)]
+        narrow = PopulationTensors.from_genomes(genomes)
+        io = config.inputs + config.outputs
+        rng = np.random.default_rng(9)
+        rows = np.concatenate([np.arange(io),
+                               np.sort(rng.choice(np.arange(61, 130), 40 - io, replace=False))])
+        wide_nodes = np.full((narrow.size, 130, 5), np.nan)
+        wide_nodes[:, rows] = narrow.nodes
+        wide = PopulationTensors(wide_nodes, narrow.conns, narrow.species_id,
+                                 narrow.fitness, config.inputs, config.outputs)
+        live_rows = rows[np.nonzero(~np.isnan(narrow.nodes[:, :, NODE_KEY]))[1]]
+        assert (live_rows >= 64).sum() > 50
+        return narrow, wide, rows
+
+    def test_order_and_sweep_match_capacity_40(self, spread):
+        narrow, wide, rows = spread
+        a, cyclic_a = transform_arrays(narrow.nodes, narrow.conns, 2, 1)
+        b, cyclic_b = transform_arrays(wide.nodes, wide.conns, 2, 1)
+        assert cyclic_a.size == 0 and cyclic_b.size == 0
+        live = ~np.isnan(a.order)
+        moved = np.where(live, rows[np.where(live, a.order, 0).astype(int)], np.nan)
+        assert np.array_equal(b.order[:, :40], moved, equal_nan=True)
+        assert np.isnan(b.order[:, 40:]).all()
+        padded = a.sweep_rows == 40
+        assert np.array_equal(b.sweep_rows,
+                              np.where(padded, 130, rows[np.where(padded, 0, a.sweep_rows)]))
+
+    def test_forward_matches_capacity_40_and_oracle(self, spread):
+        narrow, wide, _ = spread
+        inputs = np.random.default_rng(4).normal(size=(narrow.size, 5, 2))
+        a = population_forward(population_transform(narrow), inputs=inputs)
+        b = population_forward(population_transform(wide), inputs=inputs)
+        # the width-n reductions sum different runs of zeros, so compare to rounding
+        assert np.allclose(a, b, atol=1e-12, rtol=0.0)
+        for i in range(wide.size):
+            net = decode(wide.genome(i))
+            for x, out in zip(inputs[i], b[i]):
+                assert np.allclose(out, graph_forward(net, None, list(x)), atol=1e-9, rtol=0.0)
+
+    def test_more_than_64_live_nodes_against_oracle(self):
+        config = make_config(max_nodes=130, max_conns=360, pop_size=6, node_add=0.9,
+                             conn_add=0.8, weight_mutate_power=0.2,
+                             activation_options=("tanh", "sigmoid"),
+                             activation_replace_rate=0.2)
+        pop = grown_population(config, rounds=110)
+        live = ~np.isnan(pop.nodes[:, :, NODE_KEY])
+        assert live.sum(axis=1).max() > 64
+        stacked = population_transform(pop)
+        for i in range(pop.size):
+            listed = stacked.order[i][~np.isnan(stacked.order[i])].astype(int)
+            assert sorted(listed) == list(np.nonzero(live[i])[0])
+            position = {r: k for k, r in enumerate(listed)}
+            src, dst = np.nonzero(~np.isnan(conns_expanded(stacked, i)))
+            assert all(position[s] < position[d] for s, d in zip(src, dst))
+        inputs = np.random.default_rng(6).normal(size=(pop.size, 4, 2))
+        outputs = population_forward(stacked, inputs=inputs)
+        for i in range(pop.size):
+            net = decode(pop.genome(i))
+            for x, out in zip(inputs[i], outputs[i]):
+                assert np.allclose(out, graph_forward(net, None, list(x)), atol=1e-9, rtol=0.0)
 
 
 class TestForward:

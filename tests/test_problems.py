@@ -66,8 +66,9 @@ class TestRegression:
         for seed in range(6):
             g = random_genome(seed, config, n_ops=15)
             tn = transform(g)
-            fitness = problem.evaluate(
-                lambda x: np.stack([forward(tn, inputs=row) for row in x]))
+            fitness = eval_regression(
+                lambda x: np.stack([forward(tn, inputs=row) for row in x]),
+                problem.target_fn, problem.xs)
             assert fitness <= 0.0
 
     def test_unknown_target_rejected(self):
@@ -80,8 +81,9 @@ class TestRegression:
         genomes = [random_genome(s, config, n_ops=15) for s in range(8)]
         pop = PopulationTensors.from_genomes(genomes)
         batched = problem.evaluate_population_tensors(pop)
-        singles = np.array([problem.evaluate(
-            lambda x, tn=transform(g): np.stack([forward(tn, inputs=row) for row in x]))
+        singles = np.array([eval_regression(
+            lambda x, tn=transform(g): np.stack([forward(tn, inputs=row) for row in x]),
+            problem.target_fn, problem.xs)
             for g in genomes])
         assert np.array_equal(batched, singles)
 
