@@ -8,8 +8,9 @@ run as uniform array operations across a whole population at once.
 from .config import NeatConfig, dump_config, load_config, parse_config_text
 from .errors import (ArrayNeatError, BadAttrIndex, CapacityFull, ConfigError,
                      CycleDetected, DanglingEndpoint, DuplicateConn, DuplicateKey,
-                     ExtinctionError, IntegrityError, InvalidInput, KeyNotFound,
-                     ParseError, ProtectedNode, ShapeMismatch, TerminalState)
+                     ExtinctionError, IntegrityError, InvalidFitness, InvalidInput,
+                     KeyNotFound, ParseError, ProtectedNode, ShapeMismatch,
+                     TerminalState)
 from .evolution import (GenerationStats, NodeKeyAllocator, SpeciesState,
                         allocate_spawns, crossover, distance, evolve_step,
                         mutate, reproduce, speciate, update_stagnation)

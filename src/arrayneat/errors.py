@@ -53,6 +53,15 @@ class CycleDetected(ArrayNeatError):
         self.genome_indices = genome_indices or []
 
 
+class InvalidFitness(ArrayNeatError):
+    """A problem returned a non-finite fitness; ``genome_indices`` lists the
+    population slots that received one."""
+
+    def __init__(self, message: str, genome_indices: list[int] | None = None):
+        super().__init__(message)
+        self.genome_indices = genome_indices or []
+
+
 class InvalidInput(ArrayNeatError):
     """Network input has wrong length or contains NaN."""
 

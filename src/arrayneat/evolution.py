@@ -27,7 +27,8 @@ from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
 from .parallel import run_chunked
 from .rng import RngStream
 from .search import (CONN_DOMAIN, bit_address, bitset_members, bitsets, match_aligned,
-                     match_rows, pair_codes, rows_of_io_keys)
+                     pair_codes, rows_of_io_keys)
+from .search import match_rows  # noqa: F401  (no caller here; benchmark/tracer.py wraps it)
 
 # stage tags for stream paths
 STAGE_INIT = 0
@@ -395,10 +396,23 @@ def mutate(genome: GenomeTensors, config: NeatConfig, rng: RngStream,
 # distance
 # ---------------------------------------------------------------------------
 
+def _node_pair_distance(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    return (np.abs(own[:, NODE_BIAS] - other[:, NODE_BIAS])
+            + np.abs(own[:, NODE_RESPONSE] - other[:, NODE_RESPONSE])
+            + (own[:, NODE_AGG] != other[:, NODE_AGG])
+            + (own[:, NODE_ACT] != other[:, NODE_ACT])) / 4.0
+
+
+def _conn_pair_distance(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    return (np.abs(own[:, CONN_WEIGHT] - other[:, CONN_WEIGHT])
+            + np.abs(own[:, CONN_ENABLED] - other[:, CONN_ENABLED])) / 2.0
+
+
 def distance_arrays(nodes1: np.ndarray, conns1: np.ndarray,
                     nodes2: np.ndarray, conns2: np.ndarray,
                     config: NeatConfig) -> np.ndarray:
-    """Pairwise genome distance with broadcasting over the population axis.
+    """(G2, P) distances from each of the P genomes of block 1 to each of the
+    G2 genomes of block 2; the two blocks may differ in capacity.
 
     d = c_disjoint * D / N + c_homologous * A where D counts genes live in
     exactly one genome, A is the mean over homologous gene pairs of the mean
@@ -406,57 +420,44 @@ def distance_arrays(nodes1: np.ndarray, conns1: np.ndarray,
     and N is the larger total live gene count.  Matching is one-to-one by
     key, so the second genome's disjoint count is its live count minus the
     number of matched pairs.
+
+    Block 1's live genes are gathered once, in row-major order, and each is
+    looked up among a block-2 genome's sorted live codes, so the work scales
+    with live genes rather than capacity.  Each genome's pair distances are
+    summed in its row order whatever the blocks hold, so every entry is
+    bitwise equal to a one-genome call.
     """
-    n1 = nodes1.shape[1]
-    n2 = nodes2.shape[1]
-    keys1 = nodes1[:, :, NODE_KEY]
-    live1 = ~np.isnan(keys1)
-    live2_count = (~np.isnan(nodes2[:, :, NODE_KEY])).sum(axis=1)
-    clive1 = ~np.isnan(conns1[:, :, CONN_IN])
-    clive2_count = (~np.isnan(conns2[:, :, CONN_IN])).sum(axis=1)
+    pop, others = nodes1.shape[0], nodes2.shape[0]
+    live1 = np.zeros(pop, dtype=np.int64)
+    live2 = np.zeros((others, 1), dtype=np.int64)
+    homologous = np.zeros((others, pop), dtype=np.int64)
+    pair_sum = np.zeros((others, pop))
+    for block1, block2, col, codes_of, pair_distance in (
+            (nodes1, nodes2, NODE_KEY, lambda genes: genes[:, NODE_KEY], _node_pair_distance),
+            (conns1, conns2, CONN_IN, pair_codes, _conn_pair_distance)):
+        width = block1.shape[1]
+        cells = np.flatnonzero(~np.isnan(block1[:, :, col]))  # row-major
+        owner = cells // width
+        genes = block1.reshape(pop * width, -1).take(cells, axis=0)
+        codes = codes_of(genes)
+        live1 += np.bincount(owner, minlength=pop)
+        for j in range(others):
+            other = block2[j][~np.isnan(block2[j, :, col])]
+            other_codes = codes_of(other)
+            order = np.argsort(other_codes)
+            table = np.append(other_codes[order], np.inf)  # sentinel: never found
+            pos = np.searchsorted(table, codes)
+            hit = np.flatnonzero(table[pos] == codes)
+            matched = other.take(order[pos[hit]], axis=0)
+            live2[j] += len(other)
+            homologous[j] += np.bincount(owner[hit], minlength=pop)
+            pair_sum[j] += np.bincount(
+                owner[hit], weights=pair_distance(genes.take(hit, axis=0), matched),
+                minlength=pop)
 
-    queries = np.concatenate([keys1, CONN_DOMAIN + pair_codes(conns1)], axis=1)
-    table = np.concatenate([nodes2[:, :, NODE_KEY],
-                            CONN_DOMAIN + pair_codes(conns2)], axis=1)
-    if queries.shape[1] == table.shape[1]:
-        src, found = match_aligned(queries, table)
-    else:
-        src, found = match_rows(queries, table)
-
-    pop = nodes1.shape[0]
-
-    # attribute distances only at the matched gene pairs, scatter-summed
-    has1 = found[:, :n1]
-    node_homologous = has1.sum(axis=1)
-    pm, rm = np.nonzero(has1)
-    own = nodes1[pm, rm]
-    matched = src[:, :n1][pm, rm]
-    other = nodes2[0, matched] if nodes2.shape[0] == 1 else nodes2[pm, matched]
-    node_pair = (np.abs(own[:, NODE_BIAS] - other[:, NODE_BIAS])
-                 + np.abs(own[:, NODE_RESPONSE] - other[:, NODE_RESPONSE])
-                 + (own[:, NODE_AGG] != other[:, NODE_AGG])
-                 + (own[:, NODE_ACT] != other[:, NODE_ACT])) / 4.0
-    node_pair_sum = np.bincount(pm, weights=node_pair, minlength=pop)
-    node_disjoint = (live1 & ~has1).sum(axis=1) + (live2_count - node_homologous)
-
-    chas1 = found[:, n1:]
-    conn_homologous = chas1.sum(axis=1)
-    pm, rm = np.nonzero(chas1)
-    own = conns1[pm, rm]
-    matched = src[:, n1:][pm, rm] - n2
-    other = conns2[0, matched] if conns2.shape[0] == 1 else conns2[pm, matched]
-    conn_pair = (np.abs(own[:, CONN_WEIGHT] - other[:, CONN_WEIGHT])
-                 + np.abs(own[:, CONN_ENABLED] - other[:, CONN_ENABLED])) / 2.0
-    conn_pair_sum = np.bincount(pm, weights=conn_pair, minlength=pop)
-    conn_disjoint = (clive1.sum(axis=1) - conn_homologous) + (clive2_count - conn_homologous)
-
-    disjoint = node_disjoint + conn_disjoint
-    homologous = node_homologous + conn_homologous
-    attr_mean = np.where(homologous > 0,
-                         (node_pair_sum + conn_pair_sum) / np.maximum(homologous, 1), 0.0)
-    genes1 = live1.sum(axis=1) + clive1.sum(axis=1)
-    genes2 = live2_count + clive2_count
-    total = np.maximum(genes1, genes2)
+    disjoint = (live1 - homologous) + (live2 - homologous)
+    attr_mean = np.where(homologous > 0, pair_sum / np.maximum(homologous, 1), 0.0)
+    total = np.maximum(live1, live2)
     return (config.compatibility_disjoint * disjoint / total
             + config.compatibility_homologous * attr_mean)
 
@@ -466,17 +467,7 @@ def distance(g1: GenomeTensors, g2: GenomeTensors, config: NeatConfig) -> float:
     if g1.num_inputs != g2.num_inputs or g1.num_outputs != g2.num_outputs:
         raise ShapeMismatch("genomes disagree on input/output counts")
     return float(distance_arrays(g1.nodes[None], g1.conns[None],
-                                 g2.nodes[None], g2.conns[None], config)[0])
-
-
-def _distance_to_genome(pop: PopulationTensors, rep: GenomeTensors,
-                        config: NeatConfig, sequential: bool = False) -> np.ndarray:
-    if sequential:
-        return np.concatenate([
-            distance_arrays(pop.nodes[i:i + 1], pop.conns[i:i + 1],
-                            rep.nodes[None], rep.conns[None], config)
-            for i in range(pop.size)])
-    return distance_arrays(pop.nodes, pop.conns, rep.nodes[None], rep.conns[None], config)
+                                 g2.nodes[None], g2.conns[None], config)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,51 +486,55 @@ def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatCo
     closest to the old representative, and empty species are dropped.
     """
     count = pop.size
-    ordered = sorted(species, key=lambda s: s.species_key)
-    rows: list[tuple[int, SpeciesState | None, GenomeTensors, np.ndarray]] = []
-    for sp in ordered:
-        rows.append((sp.species_key, sp, sp.representative,
-                     _distance_to_genome(pop, sp.representative, config, sequential)))
+    threshold = config.compatibility_threshold
 
+    def distances_to(reps: list[GenomeTensors]) -> np.ndarray:
+        """(len(reps), P) distances; one call per genome when sequential."""
+        nodes = np.stack([g.nodes for g in reps])
+        conns = np.stack([g.conns for g in reps])
+        if sequential:
+            return np.concatenate([
+                distance_arrays(pop.nodes[i:i + 1], pop.conns[i:i + 1], nodes, conns, config)
+                for i in range(count)], axis=1)
+        return distance_arrays(pop.nodes, pop.conns, nodes, conns, config)
+
+    ordered = sorted(species, key=lambda s: s.species_key)
+    keys = [sp.species_key for sp in ordered]
+    previous: list[SpeciesState | None] = list(ordered)
+    # row r of ``matrix`` holds every genome's distance to species keys[r]
+    matrix = np.empty((0, count))
     assigned = np.full(count, -1, dtype=np.int64)
-    if rows:
-        matrix = np.stack([r[3] for r in rows])
-        ok = matrix <= config.compatibility_threshold
+    if ordered:
+        matrix = distances_to([sp.representative for sp in ordered])
+        ok = matrix <= threshold
         any_ok = ok.any(axis=0)
         first = ok.argmax(axis=0)
-        keys = np.array([r[0] for r in rows], dtype=np.int64)
-        assigned[any_ok] = keys[first[any_ok]]
+        assigned[any_ok] = np.array(keys, dtype=np.int64)[first[any_ok]]
 
-    next_key = max((r[0] for r in rows), default=-1) + 1
-    founded_at = len(rows)
+    next_key = max(keys, default=-1) + 1
+    founded_at = len(keys)
     for i in np.nonzero(assigned < 0)[0]:
-        matched = False
-        for key, _, _, dist_row in rows[founded_at:]:
-            if dist_row[i] <= config.compatibility_threshold:
-                assigned[i] = key
-                matched = True
-                break
-        if matched:
-            continue
-        if len(rows) < config.max_species:
-            founder = pop.genome(int(i))
-            rows.append((next_key, None, founder,
-                         _distance_to_genome(pop, founder, config, sequential)))
+        close = matrix[founded_at:, i] <= threshold
+        if close.any():
+            assigned[i] = keys[founded_at + int(close.argmax())]
+        elif len(keys) < config.max_species:
+            matrix = np.concatenate([matrix, distances_to([pop.genome(int(i))])])
+            keys.append(next_key)
+            previous.append(None)
             assigned[i] = next_key
             next_key += 1
         else:
-            matrix = np.stack([r[3] for r in rows])
-            assigned[i] = rows[int(matrix[:, i].argmin())][0]
+            assigned[i] = keys[int(matrix[:, i].argmin())]
 
     result: list[SpeciesState] = []
-    for key, previous, representative, dist_row in rows:
+    for key, prior, dist_row in zip(keys, previous, matrix):
         members = np.nonzero(assigned == key)[0]
         if members.size == 0:
             continue
         closest = members[int(dist_row[members].argmin())]
         new_rep = pop.genome(int(closest))
-        if previous is not None:
-            result.append(replace(previous, representative=new_rep,
+        if prior is not None:
+            result.append(replace(prior, representative=new_rep,
                                   member_indices=members, spawn_count=0))
         else:
             result.append(SpeciesState(species_key=key, representative=new_rep,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NeatConfig
-from .errors import ConfigError, CycleDetected, ShapeMismatch, TerminalState
+from .errors import (ConfigError, CycleDetected, InvalidFitness, ShapeMismatch,
+                     TerminalState)
 from .functions import DEFAULT_REGISTRY, FunctionRegistry
 from .genome import PopulationTensors
 from .inference import StackedNetworks, forward_arrays, transform_arrays
@@ -211,7 +212,12 @@ class Problem:
                                     registry: FunctionRegistry | None = None,
                                     rng: RngStream | None = None,
                                     threads: int = 1, sequential: bool = False) -> np.ndarray:
-        """Transform and evaluate a whole population, chunked over genomes."""
+        """Transform and evaluate a whole population, chunked over genomes.
+
+        Each chunk must yield one finite fitness per genome: a wrong shape
+        raises ``ShapeMismatch`` and a NaN or infinite value ``InvalidFitness``
+        naming the population indices.
+        """
         registry = registry or DEFAULT_REGISTRY
         rng = rng or RngStream(0)
         fitness = np.empty(pop.size)
@@ -222,8 +228,18 @@ class Problem:
             if cyclic.size:
                 bad = (cyclic + lo).tolist()
                 raise CycleDetected(f"cyclic genomes at indices {bad}", genome_indices=bad)
-            fitness[lo:hi] = self.evaluate_stacked(stacked, registry, rng,
-                                                   indices=np.arange(lo, hi))
+            chunk = np.asarray(self.evaluate_stacked(stacked, registry, rng,
+                                                     indices=np.arange(lo, hi)))
+            if chunk.shape != (hi - lo,):
+                raise ShapeMismatch(f"{type(self).__name__} returned fitness of shape "
+                                    f"{chunk.shape} for the {hi - lo} genomes at indices "
+                                    f"{lo}..{hi - 1}")
+            nonfinite = np.nonzero(~np.isfinite(chunk))[0]
+            if nonfinite.size:
+                bad = (nonfinite + lo).tolist()
+                raise InvalidFitness(f"non-finite fitness at indices {bad}",
+                                     genome_indices=bad)
+            fitness[lo:hi] = chunk
 
         run_chunked(pop.size, threads, sequential, work)
         return fitness

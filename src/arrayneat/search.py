@@ -2,11 +2,14 @@
 the bitset layout for node sets.
 
 Genes are identified by a float64 code (a node key, or a packed connection
-key pair).  Hot callers first try cheap structural fast paths (genes of
-related genomes usually sit at the same row; input/output keys usually sit at
-their own row index) and only binary-search the residue.  Everything here is
-integer or boolean work, so results are exact and identical no matter how the
-population is batched or chunked.
+key pair).  Crossover and the node-key resolution of mutation and transform
+match equally shaped blocks row by row; they first try cheap structural fast
+paths (genes of related genomes usually sit at the same row; input/output
+keys usually sit at their own row index) and only binary-search the residue.
+Distance does not use these tables: it looks each live gene up among another
+genome's sorted live codes (``evolution.distance_arrays``).  Everything here
+is integer or boolean work, so results are exact and identical no matter how
+the population is batched or chunked.
 """
 
 from __future__ import annotations
@@ -70,13 +73,11 @@ class SortedTable:
         """Find flat ``queries`` within table rows ``rows``.
 
         Returns (column index into the unsorted block, found mask).  NaN
-        queries are never found.  ``rows`` may be any integer array; a table
-        with a single row accepts any row index.
+        queries are never found.  ``rows[i]`` is the table row searched for
+        ``queries[i]``.
         """
         if self.sorted_codes is None:
             self._build()
-        if self.codes.shape[0] == 1:
-            rows = np.zeros(len(queries), dtype=np.int64)
         q = np.where(np.isnan(queries), -1.0, queries)
         k = self.width
         last = k - 1
@@ -94,8 +95,8 @@ class SortedTable:
 def match_rows(queries: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row index in ``codes`` holding each query code, plus a found mask.
 
-    ``queries`` is (P, q); ``codes`` is (P, k) or (1, k) and may contain NaN
-    padding (never matched).  Codes must be non-negative and unique per row.
+    ``queries`` is (P, q); ``codes`` is (P, k) and may contain NaN padding
+    (never matched).  Codes must be non-negative and unique per row.
     Unmatched or NaN queries get an arbitrary index with found=False.
     """
     pop, q = queries.shape

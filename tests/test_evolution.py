@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from arrayneat import (ConnRow, NodeKeyAllocator, PopulationTensors, RngStream,
-                       ShapeMismatch, SpeciesState, add_conn, allocate_spawns,
-                       crossover, distance, evolve_step, genomes_equal, init_genome,
-                       init_state, make_problem, mutate, reproduce, set_conn_attr,
-                       speciate, update_stagnation)
+from arrayneat import (ConnRow, GenomeTensors, NodeKeyAllocator, PopulationTensors,
+                       RngStream, ShapeMismatch, SpeciesState, add_conn, allocate_spawns,
+                       crossover, decode, distance, evolve_step, genomes_equal,
+                       graph_distance, init_genome, init_state, make_problem, mutate,
+                       reproduce, set_conn_attr, speciate, update_stagnation)
 from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT,
                               NODE_KEY, NODE_RESPONSE, check_integrity)
 
-from arrayneat.evolution import _add_connections
+from arrayneat.evolution import _add_connections, distance_arrays
 
 from conftest import (dfs_has_cycle, grown_population, live_conn_pairs, live_node_keys,
                       make_config, random_genome)
@@ -254,6 +254,62 @@ class TestDistance:
             distance(g1, g2, make_config())
 
 
+def holey_population(pop_size=40, **overrides):
+    """Grown population whose live rows have holes left by node and
+    connection deletion."""
+    config = busy_config(pop_size=pop_size, **overrides)
+    pop = grown_population(config, rounds=10, seed=7)
+    for block, col in ((pop.nodes, NODE_KEY), (pop.conns, CONN_IN)):
+        live = ~np.isnan(block[:, :, col])
+        assert (~live[:, :-1] & live[:, 1:]).any()  # a padding row before a live one
+    return config, pop
+
+
+def second_block(pop, wider):
+    """Genomes to measure against: two population members, one with no live
+    connections and one with all of them disabled; ``wider`` stores them at a
+    larger capacity with the live rows in reverse order."""
+    genomes = [pop.genome(i) for i in (0, 5, 9, 13)]
+    genomes[2].conns[:] = np.nan
+    live = ~np.isnan(genomes[3].conns[:, CONN_IN])
+    assert live.any()
+    genomes[3].conns[live, CONN_ENABLED] = 0.0
+    if not wider:
+        return genomes
+    stored = []
+    for g in genomes:
+        nodes = np.full((g.nodes.shape[0] + 7, 5), np.nan)
+        conns = np.full((g.conns.shape[0] + 9, 4), np.nan)
+        nodes[-g.nodes.shape[0]:] = g.nodes[::-1]
+        conns[-g.conns.shape[0]:] = g.conns[::-1]
+        stored.append(GenomeTensors(nodes, conns, g.num_inputs, g.num_outputs))
+    return stored
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("wider", [False, True])
+    def test_equals_one_row_calls_and_oracle(self, wider):
+        config, pop = holey_population()
+        others = second_block(pop, wider)
+        nodes2 = np.stack([g.nodes for g in others])
+        conns2 = np.stack([g.conns for g in others])
+        matrix = distance_arrays(pop.nodes, pop.conns, nodes2, conns2, config)
+        assert matrix.shape == (len(others), pop.size)
+        worst = 0.0
+        for j, other in enumerate(others):
+            net = decode(other)
+            for i in range(pop.size):
+                one = distance_arrays(pop.nodes[i:i + 1], pop.conns[i:i + 1],
+                                      nodes2[j:j + 1], conns2[j:j + 1], config)
+                assert one.shape == (1, 1)
+                assert one[0, 0].tobytes() == matrix[j, i].tobytes()
+                worst = max(worst, abs(matrix[j, i]
+                                       - graph_distance(decode(pop.genome(i)), net, config)))
+        assert worst <= 1e-12
+        # the bare and the disabled genome are both away from their source
+        assert (matrix[2] > 0).all() and matrix[3, 13] > 0 and matrix[1, 5] == 0.0
+
+
 class TestSpeciate:
     def ready_population(self, config, seeds):
         genomes = [random_genome(s, config, n_ops=6) for s in seeds]
@@ -309,6 +365,39 @@ class TestSpeciate:
         pop, species = speciate(pop, previous, config)
         dists = [distance(pop.genome(i), rep, config) for i in range(8)]
         assert genomes_equal(species[0].representative, pop.genome(int(np.argmin(dists))))
+
+    def test_cap_reached_sequential_path_is_bitwise_equal(self):
+        # two species come in; founders fill the cap, later genomes join the nearest
+        config, pop = holey_population(pop_size=60, max_species=5,
+                                       compatibility_threshold=1.2)
+        previous = [SpeciesState(species_key=key, representative=pop.genome(i),
+                                 member_indices=np.array([i]))
+                    for key, i in ((3, 0), (8, 1))]
+        fast_pop, fast = speciate(pop, previous, config)
+        slow_pop, slow = speciate(pop, previous, config, sequential=True)
+        assert np.array_equal(fast_pop.species_id, slow_pop.species_id)
+        assert [sp.species_key for sp in fast] == [sp.species_key for sp in slow]
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a.member_indices, b.member_indices)
+            assert frozen_copy(a.representative.nodes, a.representative.conns) == \
+                frozen_copy(b.representative.nodes, b.representative.conns)
+
+        # oracle: replay the assignment rule over the final representatives
+        assert len(fast) == config.max_species
+        founders = [int(sp.member_indices[0]) for sp in fast if sp.species_key > 8]
+        keys = [3, 8] + [sp.species_key for sp in fast if sp.species_key > 8]
+        opens = [-1, -1] + founders  # first genome each species is open to
+        reps = [g.representative for g in previous] + [pop.genome(i) for i in founders]
+        matrix = distance_arrays(pop.nodes, pop.conns, np.stack([g.nodes for g in reps]),
+                                 np.stack([g.conns for g in reps]), config)
+        expected, nearest_joins = [], 0
+        for i in range(pop.size):
+            open_rows = [r for r in range(len(keys)) if opens[r] <= i]
+            within = [r for r in open_rows if matrix[r, i] <= config.compatibility_threshold]
+            nearest_joins += not within
+            expected.append(keys[within[0] if within else int(matrix[:, i].argmin())])
+        assert np.array_equal(fast_pop.species_id, expected)
+        assert len(founders) >= 2 and nearest_joins > 0
 
     def test_species_count_never_exceeds_cap(self):
         config = make_config(compatibility_threshold=0.0, max_species=3)

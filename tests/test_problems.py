@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from arrayneat import (CartPoleProblem, CartPoleState, RegressionProblem,
-                       RngStream, ShapeMismatch, TerminalState, XorProblem,
-                       cartpole_step, eval_cartpole, eval_regression, eval_xor,
-                       forward, init_genome, make_problem, problems, set_conn_attr,
-                       transform)
+from arrayneat import (ArrayNeatError, CartPoleProblem, CartPoleState, InvalidFitness,
+                       RegressionProblem, RngStream, ShapeMismatch, TerminalState,
+                       XorProblem, cartpole_step, eval_cartpole, eval_regression,
+                       eval_xor, evolve_step, forward, init_genome, init_state,
+                       make_problem, problems, set_conn_attr, transform)
 from arrayneat.errors import ConfigError
 from arrayneat.genome import PopulationTensors
 from arrayneat.problems import MAX_STEPS, THETA_LIMIT, X_LIMIT, regression_grid
@@ -241,6 +241,43 @@ class TestEvaluatePopulation:
         b = problem.evaluate_population_tensors(pop, rng=rng, threads=4)
         c = problem.evaluate_population_tensors(pop, rng=rng, sequential=True)
         assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+class NonFiniteXor(XorProblem):
+    """XOR that hands back NaN at population index 3 and inf at index 11."""
+
+    def evaluate_stacked(self, stacked, registry, rng, indices):
+        fitness = super().evaluate_stacked(stacked, registry, rng, indices)
+        fitness[indices == 3] = np.nan
+        fitness[indices == 11] = np.inf
+        return fitness
+
+
+class ShortXor(XorProblem):
+    """XOR that drops the last genome of every chunk."""
+
+    def evaluate_stacked(self, stacked, registry, rng, indices):
+        return super().evaluate_stacked(stacked, registry, rng, indices)[:-1]
+
+
+class TestBadFitness:
+    def step(self, problem, threads=1):
+        config = make_config(pop_size=20)
+        state = init_state(config)
+        return evolve_step(state.population, state.species, config, RngStream(0).child(0),
+                           state.allocator, problem, threads=threads)
+
+    @pytest.mark.parametrize("threads, expected", [(1, [3, 11]), (2, [3])])
+    def test_non_finite_fitness_names_the_genomes(self, threads, expected):
+        with pytest.raises(InvalidFitness, match="non-finite fitness") as caught:
+            self.step(NonFiniteXor(), threads)
+        assert caught.value.genome_indices == expected
+        assert isinstance(caught.value, ArrayNeatError)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wrong_length_is_a_shape_mismatch(self, threads):
+        with pytest.raises(ShapeMismatch, match="ShortXor returned fitness of shape"):
+            self.step(ShortXor(), threads)
 
 
 class TestMakeProblem:

@@ -12,23 +12,21 @@ def brute_force(queries, codes):
     idx = np.zeros((pop, q), dtype=np.int64)
     found = np.zeros((pop, q), dtype=bool)
     for p in range(pop):
-        row = 0 if codes.shape[0] == 1 else p
         for j in range(q):
             for k in range(codes.shape[1]):
-                if queries[p, j] == codes[row, k]:
+                if queries[p, j] == codes[p, k]:
                     idx[p, j] = k
                     found[p, j] = True
                     break
     return idx, found
 
 
-def random_blocks(seed, pop=7, k=9, q=12, table_rows=None):
+def random_blocks(seed, pop=7, k=9, q=12):
     rng = np.random.default_rng(seed)
-    codes = np.argsort(rng.random((table_rows or pop, 40)), axis=1)[:, :k].astype(float)
+    codes = np.argsort(rng.random((pop, 40)), axis=1)[:, :k].astype(float)
     codes[rng.random(codes.shape) < 0.3] = np.nan
     pick = rng.integers(0, k, (pop, q))
-    source = codes if codes.shape[0] == pop else np.repeat(codes, pop, axis=0)
-    queries = source[np.arange(pop)[:, None], pick]
+    queries = codes[np.arange(pop)[:, None], pick]
     queries[rng.random(queries.shape) < 0.2] = rng.integers(100, 200)  # misses
     queries[rng.random(queries.shape) < 0.1] = np.nan
     return queries, codes
@@ -37,15 +35,6 @@ def random_blocks(seed, pop=7, k=9, q=12, table_rows=None):
 @pytest.mark.parametrize("seed", range(6))
 def test_match_rows_equals_brute_force(seed):
     queries, codes = random_blocks(seed)
-    idx, found = match_rows(queries, codes)
-    bidx, bfound = brute_force(queries, codes)
-    assert np.array_equal(found, bfound)
-    assert np.array_equal(np.where(found, idx, -1), np.where(bfound, bidx, -1))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_match_rows_single_row_table(seed):
-    queries, codes = random_blocks(seed, table_rows=1)
     idx, found = match_rows(queries, codes)
     bidx, bfound = brute_force(queries, codes)
     assert np.array_equal(found, bfound)
