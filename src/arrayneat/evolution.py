@@ -23,7 +23,7 @@ from .errors import ExtinctionError, ShapeMismatch
 from .functions import DEFAULT_REGISTRY, FunctionRegistry
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
-                     GenomeTensors, PopulationTensors)
+                     GenomeTensors, PopulationTensors, occupied)
 from .parallel import run_chunked
 from .rng import RngStream
 from .search import (CONN_DOMAIN, bit_address, bitset_members, bitsets, match_aligned,
@@ -104,12 +104,18 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
 
     Topology (and padding layout) comes from the fitter parent, ``out_*``;
     each attribute of a gene that is also live in the less fit parent is
-    taken from either parent with probability one half.  Coin draws cover a
-    fixed (max_nodes x 4) + (max_conns x 2) grid but are only computed at the
-    homologous cells that consume them.
+    taken from either parent with probability one half.  The less fit
+    parents' blocks may be cut to any prefix that holds every live row of
+    both blocks.  Matching runs on the prefix up to the last row live in
+    either block.  Coin draws cover a fixed (max_nodes x 4) + (max_conns x 2)
+    grid but are only computed at the homologous cells that consume them.
     """
     pop, n, _ = out_nodes.shape
     c = out_conns.shape[1]
+    width = max(occupied(out_nodes[:, :, NODE_KEY]), occupied(less_nodes[:, :, NODE_KEY]))
+    out_nodes, less_nodes = out_nodes[:, :width], less_nodes[:, :width]
+    c_width = max(occupied(out_conns[:, :, CONN_IN]), occupied(less_conns[:, :, CONN_IN]))
+    out_conns, less_conns = out_conns[:, :c_width], less_conns[:, :c_width]
 
     # one lookup table covers both gene kinds: node keys as-is, connection
     # pair codes shifted into their own domain
@@ -119,7 +125,7 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
 
     src, has = match_aligned(codes(out_nodes, out_conns), codes(less_nodes, less_conns))
 
-    pm, rm = np.nonzero(has[:, :n])
+    pm, rm = np.nonzero(has[:, :width])
     cols = (rm[:, None] * 4 + np.arange(4)).ravel()
     coins = rng.uniforms_at(n * 4, np.repeat(pm, 4), cols).reshape(-1, 4) < 0.5
     matched = src[pm, rm]
@@ -128,10 +134,10 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
         take = coins[:, attr]
         out_nodes[pm[take], rm[take], col] = less_nodes[pm[take], matched[take], col]
 
-    pm, rm = np.nonzero(has[:, n:])
+    pm, rm = np.nonzero(has[:, width:])
     cols = (rm[:, None] * 2 + np.arange(2)).ravel()
     coins = rng.uniforms_at(c * 2, np.repeat(pm, 2), cols).reshape(-1, 2) < 0.5
-    matched = src[pm, rm + n] - n
+    matched = src[pm, rm + width] - width
     for attr in range(2):
         col = 2 + attr
         take = coins[:, attr]
@@ -169,10 +175,20 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
     ``new_node_keys`` holds one pre-reserved key per genome, consumed only by
     a firing node addition.  Returns the same two arrays plus the mask of
     genomes whose node addition fired.
+
+    Every sub-step runs on the occupied prefix plus the rows this call can
+    fill (one node row; two connection rows for node addition, one for
+    connection addition), clipped to capacity.  Addition fills the first
+    free row, so every write lands inside that view, and a genome has as
+    many free rows as a sub-step needs in the view exactly when it has them
+    in the capacity.  Draws keep the capacity as their stride.
     """
     pop, n, _ = nodes.shape
     c = conns.shape[1]
     n_io = config.inputs + config.outputs
+    arrays = nodes, conns
+    nodes = nodes[:, :min(n, occupied(nodes[:, :, NODE_KEY]) + 1)]
+    conns = conns[:, :min(c, occupied(conns[:, :, CONN_IN]) + 3)]
 
     u_struct = rng.uniforms(4).reshape(pop, 4)
     u_pick = rng.uniforms(4).reshape(pop, 4)
@@ -252,7 +268,7 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
     live_conn = ~np.isnan(conns[:, :, CONN_IN])
 
     def perturb(tensor, col, live, width, replace_rate, mutate_rate, power, mean, std):
-        # draws cover the fixed (pop, width) grid but are computed only at
+        # draws cover the fixed (pop, capacity) grid but are computed only at
         # live cells (and noise only at fired cells); results are bitwise
         # identical to dense drawing because draws are pure in (key, counter)
         if replace_rate == 0.0 and mutate_rate == 0.0:
@@ -289,26 +305,25 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
             config.weight_init_mean, config.weight_init_std)
 
     if config.enabled_mutate_rate > 0.0:
-        u_flip = rng.uniforms(c).reshape(pop, c)
-        flip = (u_flip < config.enabled_mutate_rate) & live_conn
-        conns[:, :, CONN_ENABLED] = np.where(
-            flip, 1.0 - conns[:, :, CONN_ENABLED], conns[:, :, CONN_ENABLED])
+        pm, cm = np.nonzero(live_conn)
+        flip = rng.uniforms_at(c, pm, cm) < config.enabled_mutate_rate
+        conns[pm[flip], cm[flip], CONN_ENABLED] = 1.0 - conns[pm[flip], cm[flip], CONN_ENABLED]
 
     def replace_categorical(col, options, rate):
         if rate == 0.0:
             return
-        u_replace = rng.uniforms(n).reshape(pop, n)
-        u_choice = rng.uniforms(n).reshape(pop, n)
+        pm, cm = np.nonzero(live_node)
+        u_replace = rng.uniforms_at(n, pm, cm)
+        u_choice = rng.uniforms_at(n, pm, cm)
         table = np.asarray(options, dtype=np.float64)
         idx = np.minimum((u_choice * table.size).astype(np.int64), table.size - 1)
-        chosen = table[idx]
-        hit = (u_replace < rate) & live_node
-        nodes[:, :, col] = np.where(hit, chosen, nodes[:, :, col])
+        hit = u_replace < rate
+        nodes[pm[hit], cm[hit], col] = table[idx[hit]]
 
     replace_categorical(NODE_ACT, config.activation_option_ids, config.activation_replace_rate)
     replace_categorical(NODE_AGG, config.aggregation_option_ids, config.aggregation_replace_rate)
 
-    return nodes, conns, can_add
+    return arrays + (can_add,)
 
 
 def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
@@ -435,6 +450,8 @@ def distance_arrays(nodes1: np.ndarray, conns1: np.ndarray,
     for block1, block2, col, codes_of, pair_distance in (
             (nodes1, nodes2, NODE_KEY, lambda genes: genes[:, NODE_KEY], _node_pair_distance),
             (conns1, conns2, CONN_IN, pair_codes, _conn_pair_distance)):
+        # one read of the whole key column: finding the occupied prefix first
+        # (genome.occupied) would read it once more and cost more than it saves
         width = block1.shape[1]
         cells = np.flatnonzero(~np.isnan(block1[:, :, col]))  # row-major
         owner = cells // width
@@ -646,6 +663,9 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.n
 
     out_nodes = np.empty((total,) + pop.nodes.shape[1:])
     out_conns = np.empty((total,) + pop.conns.shape[1:])
+    # less fit parents are gathered only up to the last row live in any genome
+    less_nodes = pop.nodes[:, :occupied(pop.nodes[:, :, NODE_KEY])]
+    less_conns = pop.conns[:, :occupied(pop.conns[:, :, CONN_IN])]
     stage = rng.child(STAGE_REPRODUCE)
 
     def work(lo: int, hi: int) -> None:
@@ -667,7 +687,7 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.n
         np.take(pop.nodes, fit_idx, axis=0, out=child_nodes, mode="clip")
         np.take(pop.conns, fit_idx, axis=0, out=child_conns, mode="clip")
         _crossover_into(child_nodes, child_conns,
-                        pop.nodes[less_idx], pop.conns[less_idx], streams)
+                        less_nodes[less_idx], less_conns[less_idx], streams)
         mutate_arrays(child_nodes, child_conns, config, streams, new_keys[lo:hi])
         elites = elite_src[lo:hi]
         mask = elites >= 0

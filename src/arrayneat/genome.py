@@ -178,6 +178,17 @@ def _live_conn_mask(conns: np.ndarray) -> np.ndarray:
     return ~np.isnan(conns[:, CONN_IN])
 
 
+def occupied(keys: np.ndarray) -> int:
+    """1 + the last row live in any genome of a (P, rows) key column, or 0.
+
+    Kernels compute on this prefix of the capacity.  Addition fills the
+    first free row, so a kernel that adds k genes to a genome writes inside
+    the first ``occupied + k`` rows.
+    """
+    rows = np.flatnonzero(~np.isnan(keys).all(axis=0))
+    return int(rows[-1]) + 1 if rows.size else 0
+
+
 def _first_padding_row(tensor: np.ndarray) -> int:
     padding = np.isnan(tensor).all(axis=1)
     if not padding.any():

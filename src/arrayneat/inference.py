@@ -1,18 +1,21 @@
 """Two-phase feedforward inference over genome tensors.
 
 Phase one (transform) orders each genome's live node rows topologically with
-Kahn's algorithm and compiles the order into a *sweep*.  Per genome, the live
-non-input rows are taken in that order and left-packed into ``S`` columns,
-where ``S`` is the largest such count in the population.  Column ``s`` holds,
-for every genome, the row of its s-th computed node and that node's incoming
-weights as one contiguous row of width ``max_nodes`` (NaN where no enabled
-edge exists).  A genome with fewer than ``S`` computed nodes writes its spare
-columns to a scratch row past the last node row.  Everything forward needs
-per column - node attributes, the aggregation and activation codes present,
-their masks - is computed once here, not on every forward call.
+Kahn's algorithm and compiles the order into a *sweep*.  It works on the
+batch's occupied prefix: the connection rows up to the last one live in any
+genome, and a node width ``n`` that covers every live node row (the occupied
+rows rounded up to a multiple of 8, see ``transform_arrays``).  Per genome,
+the live non-input rows are taken in that order and left-packed into ``S``
+columns, where ``S`` is the largest such count in the population.  Column ``s`` holds, for every genome, the row of
+its s-th computed node and that node's incoming weights as one contiguous
+row of width ``n`` (NaN where no enabled edge exists).  A genome with fewer
+than ``S`` computed nodes writes its spare columns to a scratch row past the
+last node row.  Everything forward needs per column - node attributes, the
+aggregation and activation codes present, their masks - is computed once
+here, not on every forward call.
 
 Phase two (forward) walks the ``S`` columns.  Each multiplies its incoming
-weight rows by the node-value tensor, aggregates over the full width-n axis,
+weight rows by the node-value tensor, aggregates over the width-n axis,
 applies activation(bias + response * aggregated), and writes the result to
 its node rows.
 
@@ -21,10 +24,11 @@ network type: ``population_transform`` returns the ``StackedNetworks`` of a
 population, and ``transform`` returns the ``StackedNetworks`` of one genome,
 which ``forward`` and ``forward_batch`` run through the same kernels as a
 population of one.  Elementwise
-numpy operations are position-independent, and every node is reduced over
-the same contiguous width-n axis whatever the batch, so a genome's results
-are bitwise identical whether it is evaluated alone, inside a batch, inside a
-chunk of a batch, or inside a subset taken with ``StackedNetworks.take``.
+numpy operations are position-independent, and the width-n reduction of a
+zero-padded row has the same bits whatever ``n`` the batch chose, so a
+genome's results are bitwise identical whether it is evaluated alone, inside
+a batch, inside a chunk of a batch, or inside a subset taken with
+``StackedNetworks.take``.
 That is what makes batched and per-genome evaluation agree exactly and lets
 callers parallelize over population chunks without changing results.
 """
@@ -39,7 +43,7 @@ from .errors import CycleDetected, InvalidInput
 from .functions import DEFAULT_REGISTRY, FunctionRegistry
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
-                     GenomeTensors, PopulationTensors)
+                     GenomeTensors, PopulationTensors, occupied)
 from .search import bitset_members, bitsets, rows_of_io_keys
 
 
@@ -72,9 +76,11 @@ class StackedNetworks:
     """Transformed networks as stacked arrays, one per genome; a single
     transformed genome is a stack of one.
 
-    The sweep is ``sweep_rows`` and ``sweep_weights``: ``sweep_rows[p, s]``
-    is the node row genome p computes at column s, or n where p has fewer
-    than S non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
+    The node axis has the transform's node width ``n``, which covers every
+    live node row of the batch and may be less than the capacity.  The sweep
+    is ``sweep_rows`` and ``sweep_weights``: ``sweep_rows[p, s]`` is the
+    node row genome p computes at column s, or n where p has fewer than S
+    non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
     the enabled edge from node row j into that node, so one node's incoming
     weights are a contiguous row.  ``columns`` is derived from these when the
     stack is built.
@@ -159,13 +165,24 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
     """Kahn's algorithm over every genome at once, compiled into the sweep.
 
     Ties break toward the smallest node row index, which makes the order (and
-    therefore every later floating-point sweep) deterministic.  Successor
-    sets are bitsets of ``ceil(max_nodes / 64)`` words, so one code path
-    serves every node capacity.  Returns the stacked networks plus the
-    indices of genomes whose enabled connections contain a cycle (their order
-    is left incomplete).
+    therefore every later floating-point sweep) deterministic.  Connections
+    are read up to the last row live in any genome, and nodes up to a width
+    that covers every live row, which is also the node width of the returned
+    stack.  Successor sets are bitsets of ``ceil(width / 64)`` words, so one
+    code path serves every node capacity.  Returns the stacked networks plus
+    the indices of genomes whose enabled connections contain a cycle (their
+    order is left incomplete).
     """
-    pop, n, _ = nodes.shape
+    pop, capacity, _ = nodes.shape
+    # the node width that forward reduces over: the occupied rows rounded up to
+    # a multiple of 8.  numpy sums up to 128 elements pairwise in 8 lanes, so a
+    # zero-padded row then sums to the bits of the capacity-wide sum, whatever
+    # batch the genome is in.  Above 128 it sums in halves, so wider
+    # capacities keep their full width.
+    rounded = -(-occupied(nodes[:, :, NODE_KEY]) // 8) * 8
+    n = capacity if capacity > 128 else min(capacity, rounded)
+    nodes = nodes[:, :n]
+    conns = conns[:, :occupied(conns[:, :, CONN_IN])]
     keys = nodes[:, :, NODE_KEY]
     live_node = ~np.isnan(keys)
     enabled = ~np.isnan(conns[:, :, CONN_IN]) & (conns[:, :, CONN_ENABLED] == 1.0)
@@ -235,11 +252,11 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
                    inputs: np.ndarray) -> np.ndarray:
     """Batched node-value sweep: inputs (P, B, I) -> outputs (P, B, O).
 
-    Node values live in a (P, B, max_nodes + 1) tensor initialized to NaN;
-    the last row is the scratch row.  Each sweep column multiplies its
-    incoming weight rows by the node values, aggregates with each node's
-    aggregation function (empty aggregation is 0), and writes
-    activation(bias + response * aggregated) to its node rows.
+    Node values live in a (P, B, n + 1) tensor initialized to NaN, where n
+    is the stack's node width; the last row is the scratch row.  Each sweep
+    column multiplies its incoming weight rows by the node values, aggregates
+    with each node's aggregation function (empty aggregation is 0), and
+    writes activation(bias + response * aggregated) to its node rows.
     """
     pop, n = stacked.order.shape
     batch = inputs.shape[1]

@@ -5,10 +5,10 @@ import pytest
 
 from arrayneat import inference
 from arrayneat import (ConfigError, ConnRow, CycleDetected, GenomeTensors, InvalidInput,
-                       NodeRow, PopulationTensors, RngStream, add_conn, add_node, decode,
-                       forward, forward_batch, graph_forward, init_genome,
-                       population_forward, population_transform, set_conn_attr,
-                       set_node_attr, to_dot, transform)
+                       NodeRow, PopulationTensors, RngStream, add_conn, add_node,
+                       check_integrity, decode, forward, forward_batch, graph_forward,
+                       init_genome, population_forward, population_transform,
+                       set_conn_attr, set_node_attr, to_dot, transform)
 from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY
 from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_KEY
 from arrayneat.inference import forward_arrays, transform_arrays
@@ -111,7 +111,10 @@ class TestTransform:
                 if conn[CONN_ENABLED] == 1.0:
                     expected[row[int(conn[CONN_IN])], row[int(conn[CONN_OUT])]] = conn[CONN_WEIGHT]
             got = conns_expanded(transform(g))
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            # the stack keeps the node width that covers every live row
+            n = got.shape[0]
+            assert np.isnan(expected[n:]).all() and np.isnan(expected[:, n:]).all()
+            assert np.array_equal(got.view(np.uint64), expected[:n, :n].view(np.uint64))
         assert checked >= 10
 
     def test_connection_into_an_input_is_dropped(self):
@@ -189,11 +192,17 @@ class TestWideCapacity:
         a, cyclic_a = transform_arrays(narrow.nodes, narrow.conns, 2, 1)
         b, cyclic_b = transform_arrays(wide.nodes, wide.conns, 2, 1)
         assert cyclic_a.size == 0 and cyclic_b.size == 0
+        # capacity 40 keeps its occupied rows rounded up to a multiple of 8;
+        # capacity 130 is past the pairwise-sum block and keeps its full width
+        occupied = np.nonzero(~np.isnan(narrow.nodes[:, :, NODE_KEY]).all(axis=0))[0][-1] + 1
+        width = a.order.shape[1]
+        assert width == min(40, -(-occupied // 8) * 8)
+        assert b.order.shape[1] == 130
         live = ~np.isnan(a.order)
         moved = np.where(live, rows[np.where(live, a.order, 0).astype(int)], np.nan)
-        assert np.array_equal(b.order[:, :40], moved, equal_nan=True)
-        assert np.isnan(b.order[:, 40:]).all()
-        padded = a.sweep_rows == 40
+        assert np.array_equal(b.order[:, :width], moved, equal_nan=True)
+        assert np.isnan(b.order[:, width:]).all()
+        padded = a.sweep_rows == width
         assert np.array_equal(b.sweep_rows,
                               np.where(padded, 130, rows[np.where(padded, 0, a.sweep_rows)]))
 
@@ -230,6 +239,57 @@ class TestWideCapacity:
             net = decode(pop.genome(i))
             for x, out in zip(inputs[i], outputs[i]):
                 assert np.allclose(out, graph_forward(net, None, list(x)), atol=1e-9, rtol=0.0)
+
+
+    def test_capacity_130_outputs_do_not_depend_on_the_batch(self):
+        # a sum output fed by 40 hidden nodes spread over rows 3-109; past 128
+        # rows numpy sums in halves, so a node width cut to the genome's own
+        # rows would regroup those 40 terms when it is transformed alone
+        rng = np.random.default_rng(11)
+        hidden_rows = np.linspace(3, 109, 40).astype(int)
+        nodes = np.full((130, 5), np.nan)
+        nodes[:3] = [[0, 0.0, 1.0, 0, 0], [1, 0.0, 1.0, 0, 0], [2, 0.3, 1.0,
+                     AGGREGATION_IDS["sum"], ACTIVATION_IDS["identity"]]]
+        conns = np.full((100, 4), np.nan)
+        for k, row in enumerate(hidden_rows):
+            key = 3 + k
+            nodes[row] = [key, rng.normal(), 1.0, 0, ACTIVATION_IDS["tanh"]]
+            conns[2 * k] = [k % 2, key, 1.0, rng.normal() * 3.0]
+            conns[2 * k + 1] = [key, 2, 1.0, rng.normal() * 10.0 ** rng.integers(-3, 3)]
+        spread = GenomeTensors(nodes, conns, 2, 1)
+        check_integrity(spread)
+        # a second genome whose only hidden node sits at the last row
+        nodes = np.full((130, 5), np.nan)
+        nodes[:3] = spread.nodes[:3]
+        nodes[129] = [43, 0.1, 1.0, 0, ACTIVATION_IDS["tanh"]]
+        conns = np.full((100, 4), np.nan)
+        conns[:3] = [[0, 43, 1.0, 0.5], [43, 2, 1.0, -0.7], [1, 2, 1.0, 0.2]]
+        last = GenomeTensors(nodes, conns, 2, 1)
+        check_integrity(last)
+
+        inputs = rng.normal(size=(64, 2)) * 4.0
+        alone = forward_batch(transform(spread), inputs=inputs)
+        both = population_forward(population_transform(PopulationTensors.from_genomes(
+            [spread, last])), inputs=np.stack([inputs, inputs]))
+        assert np.array_equal(alone.view(np.uint64), both[0].view(np.uint64))
+
+
+def test_zero_padded_sum_has_the_bits_of_the_capacity_wide_sum():
+    # the node width of a transform (inference.transform_arrays) rests on
+    # numpy's pairwise sum: up to 128 elements, summing a zero-padded row over a
+    # multiple-of-8 prefix gives the bits of summing it over the whole row
+    rng = np.random.default_rng(12)
+    for capacity in range(8, 129):
+        terms = rng.normal(size=(3, 8, capacity)) * 10.0 ** rng.integers(-6, 6, (3, 8, capacity))
+        terms[rng.random(terms.shape) < 0.15] = -0.0
+        for width in range(8, capacity + 1, 8):
+            # each row keeps a random number of live terms in its first ``width``
+            live = rng.random(terms.shape) < rng.random((3, 8, 1))
+            padded = np.where(live & (np.arange(capacity) < width), terms, 0.0)
+            prefix = np.ascontiguousarray(padded[:, :, :width])
+            assert np.array_equal(np.add.reduce(prefix, axis=-1).view(np.uint64),
+                                  np.add.reduce(padded, axis=-1).view(np.uint64)), \
+                (capacity, width)
 
 
 class TestForward:
