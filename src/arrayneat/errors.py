@@ -10,7 +10,8 @@ class ConfigError(ArrayNeatError):
 
 
 class CapacityFull(ArrayNeatError):
-    """No NaN padding row left to hold a new gene."""
+    """No NaN padding row left to hold a new gene, or no node key left to
+    issue below the 2**26 limit of exact connection pair codes."""
 
 
 class DuplicateKey(ArrayNeatError):

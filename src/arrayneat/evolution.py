@@ -19,14 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import NeatConfig
-from .errors import ExtinctionError, ShapeMismatch
+from .errors import CapacityFull, ExtinctionError, ShapeMismatch
 from .functions import DEFAULT_REGISTRY, FunctionRegistry
-from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
-                     NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
+from .genome import (CONN_ATTRS, CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
+                     NODE_AGG, NODE_ATTRS, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
                      GenomeTensors, PopulationTensors, occupied)
 from .parallel import run_chunked
 from .rng import RngStream
-from .search import (CONN_DOMAIN, bit_address, bitset_members, bitsets, match_aligned,
+from .search import (PAIR_SHIFT, bit_address, bitset_members, bitsets, match_aligned,
                      pair_codes, rows_of_io_keys)
 from .search import match_rows  # noqa: F401  (no caller here; benchmark/tracer.py wraps it)
 
@@ -40,11 +40,21 @@ _SPAWN_EPSILON = 1e-9  # keeps spawn targets defined when all means coincide
 
 @dataclass
 class NodeKeyAllocator:
-    """Monotone source of fresh historical markers; never reissues a key."""
+    """Monotone source of fresh historical markers; never reissues a key.
+
+    Keys stay below ``PAIR_SHIFT`` (2**26), where connection pair codes stop
+    being exact; ``reserve`` raises ``CapacityFull`` rather than cross it.
+    """
     next_key: int
 
     def reserve(self, count: int) -> int:
         base = self.next_key
+        if base + count > PAIR_SHIFT:
+            raise CapacityFull(
+                f"cannot reserve {count} node keys from key {base}: keys must stay "
+                f"below {int(PAIR_SHIFT)} (2**26), where connection pair codes stop "
+                f"being exact; reproduce reserves pop_size keys every generation, so "
+                f"a run lasts at most 2**26 / pop_size generations")
         self.next_key += count
         return base
 
@@ -107,41 +117,28 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
     taken from either parent with probability one half.  The less fit
     parents' blocks may be cut to any prefix that holds every live row of
     both blocks.  Matching runs on the prefix up to the last row live in
-    either block.  Coin draws cover a fixed (max_nodes x 4) + (max_conns x 2)
-    grid but are only computed at the homologous cells that consume them.
+    either block.  Node genes are matched by key, then connection genes by
+    their (in_key, out_key) pair code.  Coin draws cover a fixed
+    (max_nodes x 4) + (max_conns x 2) grid, node coins first, but are only
+    computed at the homologous cells that consume them.
     """
-    pop, n, _ = out_nodes.shape
-    c = out_conns.shape[1]
-    width = max(occupied(out_nodes[:, :, NODE_KEY]), occupied(less_nodes[:, :, NODE_KEY]))
-    out_nodes, less_nodes = out_nodes[:, :width], less_nodes[:, :width]
-    c_width = max(occupied(out_conns[:, :, CONN_IN]), occupied(less_conns[:, :, CONN_IN]))
-    out_conns, less_conns = out_conns[:, :c_width], less_conns[:, :c_width]
-
-    # one lookup table covers both gene kinds: node keys as-is, connection
-    # pair codes shifted into their own domain
-    def codes(nodes, conns):
-        return np.concatenate([nodes[:, :, NODE_KEY],
-                               CONN_DOMAIN + pair_codes(conns)], axis=1)
-
-    src, has = match_aligned(codes(out_nodes, out_conns), codes(less_nodes, less_conns))
-
-    pm, rm = np.nonzero(has[:, :width])
-    cols = (rm[:, None] * 4 + np.arange(4)).ravel()
-    coins = rng.uniforms_at(n * 4, np.repeat(pm, 4), cols).reshape(-1, 4) < 0.5
-    matched = src[pm, rm]
-    for attr in range(4):
-        col = 1 + attr
-        take = coins[:, attr]
-        out_nodes[pm[take], rm[take], col] = less_nodes[pm[take], matched[take], col]
-
-    pm, rm = np.nonzero(has[:, width:])
-    cols = (rm[:, None] * 2 + np.arange(2)).ravel()
-    coins = rng.uniforms_at(c * 2, np.repeat(pm, 2), cols).reshape(-1, 2) < 0.5
-    matched = src[pm, rm + width] - width
-    for attr in range(2):
-        col = 2 + attr
-        take = coins[:, attr]
-        out_conns[pm[take], rm[take], col] = less_conns[pm[take], matched[take], col]
+    n, c = out_nodes.shape[1], out_conns.shape[1]
+    for out, less, live_col, identity, first, attrs, capacity in (
+            (out_nodes, less_nodes, NODE_KEY, lambda nodes: nodes[:, :, NODE_KEY],
+             NODE_BIAS, NODE_ATTRS, n),
+            (out_conns, less_conns, CONN_IN, pair_codes, CONN_ENABLED, CONN_ATTRS, c)):
+        width = max(occupied(out[:, :, live_col]), occupied(less[:, :, live_col]))
+        out, less = out[:, :width], less[:, :width]
+        src, has = match_aligned(identity(out), identity(less))
+        pm, rm = np.nonzero(has)
+        cols = (rm[:, None] * attrs + np.arange(attrs)).ravel()
+        coins = rng.uniforms_at(capacity * attrs, np.repeat(pm, attrs), cols)
+        coins = coins.reshape(-1, attrs) < 0.5
+        matched = src[pm, rm]
+        for attr in range(attrs):
+            take = coins[:, attr]
+            col = first + attr
+            out[pm[take], rm[take], col] = less[pm[take], matched[take], col]
 
 
 def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,

@@ -25,6 +25,7 @@ from .errors import (BadAttrIndex, CapacityFull, DanglingEndpoint, DuplicateConn
                      DuplicateKey, IntegrityError, KeyNotFound, ParseError,
                      ProtectedNode)
 from .rng import RngStream
+from .search import PAIR_SHIFT
 
 # node tensor columns
 NODE_KEY, NODE_BIAS, NODE_RESPONSE, NODE_AGG, NODE_ACT = range(5)
@@ -316,6 +317,9 @@ def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError
     keys = nodes[live_n, NODE_KEY]
     if np.any(keys < 0) or np.any(keys != np.floor(keys)):
         raise exc("node keys must be non-negative integers")
+    if np.any(keys >= PAIR_SHIFT):
+        raise exc(f"node keys must stay below {int(PAIR_SHIFT)} (2**26), "
+                  "where connection pair codes stop being exact")
     if np.unique(keys).size != keys.size:
         raise exc("live node keys must be pairwise distinct")
     n_io = genome.num_inputs + genome.num_outputs

@@ -161,11 +161,8 @@ def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
     number of running episodes.
     """
     pop = stacked.size
-    u = streams.uniforms(4).reshape(pop, 4)
-    x = u[:, 0] * 0.1 - 0.05
-    x_dot = u[:, 1] * 0.1 - 0.05
-    theta = u[:, 2] * 0.1 - 0.05
-    theta_dot = u[:, 3] * 0.1 - 0.05
+    # rows x, x_dot, theta, theta_dot; one column per batch row
+    state = (streams.uniforms(4).reshape(pop, 4) * 0.1 - 0.05).T
     fitness = np.zeros(pop)
     running = np.arange(pop)  # population index of each batch row
     alive = np.ones(pop, dtype=bool)
@@ -175,18 +172,13 @@ def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
             fitness[running[~alive]] = steps[~alive]
             keep = np.nonzero(alive)[0]
             stacked = stacked.take(keep)
-            x, x_dot, theta, theta_dot = x[keep], x_dot[keep], theta[keep], theta_dot[keep]
+            state = state[:, keep]
             running, alive, steps = running[keep], alive[keep], steps[keep]
-        observations = np.stack([x, x_dot, theta, theta_dot], axis=1)[:, None, :]
-        outputs = forward_arrays(stacked, registry, observations)[:, 0, 0]
+        outputs = forward_arrays(stacked, registry, state.T[:, None, :])[:, 0, 0]
         force = np.where(outputs > 0, FORCE_MAG, -FORCE_MAG)
-        nx, nxd, nth, nthd = _cartpole_dynamics(x, x_dot, theta, theta_dot, force)
-        x = np.where(alive, nx, x)
-        x_dot = np.where(alive, nxd, x_dot)
-        theta = np.where(alive, nth, theta)
-        theta_dot = np.where(alive, nthd, theta_dot)
+        state = np.where(alive, _cartpole_dynamics(*state, force), state)
         steps = steps + alive
-        alive &= ~((np.abs(x) > X_LIMIT) | (np.abs(theta) > THETA_LIMIT))
+        alive &= ~((np.abs(state[0]) > X_LIMIT) | (np.abs(state[2]) > THETA_LIMIT))
         if not alive.any():
             break
     fitness[running] = steps

@@ -29,6 +29,16 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """Top 53 bits of raw uint64 draws -> float64 uniforms in (0, 1)."""
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """One standard normal per pair of uniforms."""
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def _fold(keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Absorb integer tokens into keys, one hash round per fold."""
     return _mix64(keys ^ _mix64(tokens + _GOLDEN))
@@ -92,17 +102,13 @@ class RngStream:
     def uniforms(self, *shape: int) -> np.ndarray:
         """Uniform float64 in the open interval (0, 1), shape batch_shape + shape."""
         n = int(np.prod(shape)) if shape else 1
-        bits = self._raw(n)
-        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
-        return u.reshape(self.batch_shape + tuple(shape))
+        return _unit(self._raw(n)).reshape(self.batch_shape + tuple(shape))
 
     def normals(self, *shape: int) -> np.ndarray:
         """Standard normals via Box-Muller, two uniforms per value."""
         n = int(np.prod(shape)) if shape else 1
-        bits = self._raw(2 * n)
-        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
-        z = np.sqrt(-2.0 * np.log(u[:, :n])) * np.cos(2.0 * np.pi * u[:, n:])
-        return z.reshape(self.batch_shape + tuple(shape))
+        u = _unit(self._raw(2 * n))
+        return _box_muller(u[:, :n], u[:, n:]).reshape(self.batch_shape + tuple(shape))
 
     # -- sparse draws --------------------------------------------------------
     #
@@ -119,19 +125,15 @@ class RngStream:
         """Cells (rows, cols) of the uniform grid uniforms(width) would return."""
         base = self._counter
         self._counter += width
-        bits = self._cell_bits(base, rows, cols)
-        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
+        return _unit(self._cell_bits(base, rows, cols))
 
     def normals_at(self, width: int, rows, cols) -> np.ndarray:
         """Cells (rows, cols) of the normal grid normals(width) would return."""
         base = self._counter
         self._counter += 2 * width
         cols = np.asarray(cols, dtype=np.uint64)
-        u1 = ((self._cell_bits(base, rows, cols) >> np.uint64(11)).astype(np.float64)
-              + 0.5) * _U53_SCALE
-        u2 = ((self._cell_bits(base, rows, cols + np.uint64(width)) >> np.uint64(11))
-              .astype(np.float64) + 0.5) * _U53_SCALE
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return _box_muller(_unit(self._cell_bits(base, rows, cols)),
+                           _unit(self._cell_bits(base, rows, cols + np.uint64(width))))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.master_seed}, path={self.path}, batch={self.batch_shape})"

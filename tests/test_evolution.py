@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arrayneat import (ConnRow, GenomeTensors, NodeKeyAllocator, PopulationTensors,
+from arrayneat import (CapacityFull, ConnRow, GenomeTensors, NodeKeyAllocator, PopulationTensors,
                        RngStream, ShapeMismatch, SpeciesState, add_conn, allocate_spawns,
                        crossover, decode, distance, evolve_step, genomes_equal,
                        graph_distance, init_genome, init_state, make_problem, mutate,
@@ -642,6 +642,36 @@ class TestReproduce:
         reproduce(state.population, species, state.population.fitness, config,
                   RngStream(config.seed).child(0), state.allocator)
         assert state.allocator.next_key == before + config.pop_size
+
+
+class TestNodeKeyBound:
+    """Node keys stay below 2**26, where connection pair codes alias."""
+    LIMIT = 2 ** 26
+
+    def test_reserve_up_to_the_bound(self):
+        allocator = NodeKeyAllocator(self.LIMIT - 10)
+        assert allocator.reserve(10) == self.LIMIT - 10
+        assert allocator.next_key == self.LIMIT
+        with pytest.raises(CapacityFull, match=r"2\*\*26"):
+            allocator.reserve(1)
+        assert allocator.next_key == self.LIMIT
+        with pytest.raises(CapacityFull):
+            NodeKeyAllocator(self.LIMIT - 10).reserve(11)
+
+    def test_evolve_step_stops_before_the_bound(self):
+        config = make_config(seed=5, pop_size=20, node_add=0.5)
+        state = init_state(config)
+        problem = make_problem(config)
+        state.allocator.next_key = self.LIMIT - config.pop_size
+        pop, species, _ = evolve_step(state.population, state.species, config,
+                                      RngStream(5).child(0), state.allocator, problem)
+        assert state.allocator.next_key == self.LIMIT
+        assert np.nanmax(pop.nodes[:, :, NODE_KEY]) > self.LIMIT - config.pop_size
+        for i in range(pop.size):
+            check_integrity(pop.genome(i))
+        with pytest.raises(CapacityFull, match="pop_size"):
+            evolve_step(pop, species, config, RngStream(5).child(1), state.allocator, problem)
+        assert state.allocator.next_key == self.LIMIT
 
 
 class TestEvolveStep:

@@ -230,6 +230,19 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_genome(b'{"num_inputs": 1}')
 
+    def test_key_at_pair_code_limit_rejected(self, fresh_genome):
+        # node keys must stay below 2**26, where connection pair codes alias
+        for key, ok in ((2.0 ** 26 - 1, True), (2.0 ** 26, False)):
+            nodes = fresh_genome.nodes.copy()
+            nodes[3] = nodes[2]
+            nodes[3, NODE_KEY] = key
+            data = serialize_genome(type(fresh_genome)(nodes, fresh_genome.conns.copy(), 2, 1))
+            if ok:
+                assert parse_genome(data).nodes[3, NODE_KEY] == key
+            else:
+                with pytest.raises(ParseError, match=r"2\*\*26"):
+                    parse_genome(data)
+
     def test_mixed_nan_row_rejected(self, fresh_genome):
         bad = fresh_genome.nodes.copy()
         bad[3, 0] = 5.0  # key set but attributes NaN

@@ -1,10 +1,10 @@
-"""Gene lookup helpers: exactness of matching under every fast path."""
+"""Gene lookup helpers: exactness of matching under every first guess."""
 
 import numpy as np
 import pytest
 
-from arrayneat.search import (CONN_DOMAIN, PAIR_SHIFT, SortedTable, match_aligned,
-                              match_rows, pair_codes, rows_of_io_keys)
+from arrayneat.search import (PAIR_SHIFT, match_aligned, match_rows, pair_codes,
+                              rows_of_io_keys)
 
 
 def brute_force(queries, codes):
@@ -82,13 +82,90 @@ def test_pair_codes_exact_and_distinct():
     assert codes[0] == 5.0 * PAIR_SHIFT + 9.0
     assert codes[0] != codes[1]
     assert np.isnan(codes[2])
-    assert CONN_DOMAIN + codes[0] < 2 ** 53  # stays exact in float64
+    # the largest keys still decode exactly, and neighbouring pairs stay apart
+    top = 2.0 ** 26 - 1
+    code = pair_codes(np.array([top, top, 1.0, 0.0]))
+    assert (code // PAIR_SHIFT, code % PAIR_SHIFT) == (top, top)
+    assert pair_codes(np.array([top, 0.0, 1.0, 0.0])) - 1 == \
+        pair_codes(np.array([top - 1, top, 1.0, 0.0]))
 
 
-def test_sorted_table_lookup_flat():
-    codes = np.array([[3.0, np.nan, 1.0, 8.0]])
-    table = SortedTable(codes)
-    rows = np.zeros(4, dtype=np.int64)
-    idx, found = table.lookup(rows, np.array([8.0, 1.0, 2.0, np.nan]))
-    assert found.tolist() == [True, True, False, False]
-    assert idx[0] == 3 and idx[1] == 2
+IO = 3  # input/output keys 0..IO-1
+
+ENTRY_POINTS = {
+    "match_rows": match_rows,
+    "match_aligned": match_aligned,
+    "rows_of_io_keys": lambda queries, codes: rows_of_io_keys(queries, codes, IO),
+}
+
+
+def assert_brute_force(lookup, queries, codes):
+    idx, found = lookup(queries, codes)
+    bidx, bfound = brute_force(queries, codes)
+    assert np.array_equal(found, bfound)
+    assert np.array_equal(np.where(found, idx, -1), np.where(bfound, bidx, -1))
+    # callers gather with every index, found or not
+    assert idx.dtype == np.int64 and ((idx >= 0) & (idx < codes.shape[1])).all()
+
+
+def query_block(rng, codes, aligned=0.4, misses=0.15, nans=0.1):
+    """Queries as wide as ``codes``: live codes of the same row, some at their
+    own column (the aligned guess holds), plus misses and NaN."""
+    pop, k = codes.shape
+    queries = np.empty(codes.shape)
+    for p in range(pop):
+        live = codes[p][~np.isnan(codes[p])]
+        queries[p] = rng.choice(live, k)
+    queries = np.where(rng.random(codes.shape) < aligned, codes, queries)
+    miss = rng.random(codes.shape) < misses
+    queries[miss] = np.nanmax(codes) + 1 + rng.integers(0, 50, miss.sum())
+    queries[rng.random(codes.shape) < nans] = np.nan
+    return queries
+
+
+def node_key_block(seed, pop=8, k=9):
+    """Unique keys per row with NaN padding.  Keys 0..IO-1 are live in every
+    genome, at rows 0..IO-1 in the even genomes and anywhere in the odd ones,
+    so the io guess holds in some genomes of the block and fails in others."""
+    rng = np.random.default_rng(seed)
+    codes = np.full((pop, k), np.nan)
+    for p in range(pop):
+        hidden = rng.choice(np.arange(IO, 40), k - IO, replace=False).astype(float)
+        hidden[rng.random(hidden.size) < 0.3] = np.nan
+        row = np.concatenate([np.arange(IO, dtype=float), hidden])
+        codes[p] = row if p % 2 == 0 else rng.permutation(row)
+    return query_block(rng, codes), codes
+
+
+def pair_code_block(seed, pop=6, k=10):
+    """Connection pair codes with keys up to 2**26 - 1, including pairs whose
+    codes differ by one."""
+    rng = np.random.default_rng(seed)
+    top = 2 ** 26 - 1
+    keys = np.array([0, 1, 2, top - 1, top], dtype=float)
+    conns = np.full((pop, k, 4), np.nan)
+    for p in range(pop):
+        pairs = np.array([[a, b] for a in keys for b in keys])
+        pairs = pairs[rng.choice(len(pairs), k, replace=False)]
+        pairs[rng.random(k) < 0.2] = np.nan
+        conns[p, :, :2] = pairs
+    return query_block(rng, pair_codes(conns)), pair_codes(conns)
+
+
+# one block with a NaN query, a miss and a wrong io guess (key 1 is not at row 1)
+FIXED = (np.array([[8.0, 1.0, 2.0, np.nan]]), np.array([[3.0, np.nan, 1.0, 8.0]]))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("seed", range(6))
+def test_entry_points_equal_brute_force(entry, seed):
+    assert_brute_force(ENTRY_POINTS[entry], *node_key_block(seed))
+    assert_brute_force(ENTRY_POINTS[entry], *pair_code_block(seed))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_on_fixed_block(entry):
+    assert_brute_force(ENTRY_POINTS[entry], *FIXED)
+    idx, found = ENTRY_POINTS[entry](*FIXED)
+    assert found.tolist() == [[True, True, False, False]]
+    assert idx[0, :2].tolist() == [3, 2]
