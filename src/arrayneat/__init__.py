@@ -14,7 +14,7 @@ from .errors import (ArrayNeatError, BadAttrIndex, CapacityFull, ConfigError,
 from .evolution import (GenerationStats, NodeKeyAllocator, SpeciesState,
                         allocate_spawns, crossover, distance, evolve_step,
                         mutate, reproduce, speciate, update_stagnation)
-from .functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY, FunctionRegistry
+from .functions import ACTIVATION_IDS, AGGREGATION_IDS
 from .genome import (ConnRow, GenomeTensors, NodeRow, PopulationTensors,
                      add_conn, add_node, check_integrity, count_live,
                      genomes_equal, init_genome, parse_genome, remove_conn,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ArrayNeatError, ParseError
 from .config import load_config
-from .functions import DEFAULT_REGISTRY
+from .functions import ACTIVATIONS, AGGREGATIONS
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE, count_live,
                      parse_genome)
@@ -75,8 +75,8 @@ def _text_summary(genome) -> str:
         key = int(row[NODE_KEY])
         kind = ("input" if key < genome.num_inputs
                 else "output" if key < n_io else "hidden")
-        act = DEFAULT_REGISTRY.activations.get(int(row[NODE_ACT]), ("?",))[0]
-        agg = DEFAULT_REGISTRY.aggregations.get(int(row[NODE_AGG]), ("?",))[0]
+        act = ACTIVATIONS[int(row[NODE_ACT])][0]
+        agg = AGGREGATIONS[int(row[NODE_AGG])][0]
         lines.append(f"node {key} ({kind}): bias={row[NODE_BIAS]:.6f} "
                      f"response={row[NODE_RESPONSE]:.6f} agg={agg} act={act}")
     for row in genome.conns:

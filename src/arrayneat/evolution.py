@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import NeatConfig
 from .errors import CapacityFull, ExtinctionError, ShapeMismatch
-from .functions import DEFAULT_REGISTRY, FunctionRegistry
 from .genome import (CONN_ATTRS, CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_ATTRS, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
                      GenomeTensors, PopulationTensors, occupied)
@@ -506,11 +505,14 @@ def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatCo
         """(len(reps), P) distances; one call per genome when sequential."""
         nodes = np.stack([g.nodes for g in reps])
         conns = np.stack([g.conns for g in reps])
-        if sequential:
-            return np.concatenate([
-                distance_arrays(pop.nodes[i:i + 1], pop.conns[i:i + 1], nodes, conns, config)
-                for i in range(count)], axis=1)
-        return distance_arrays(pop.nodes, pop.conns, nodes, conns, config)
+        out = np.empty((len(reps), count))
+
+        def work(lo: int, hi: int) -> None:
+            out[:, lo:hi] = distance_arrays(pop.nodes[lo:hi], pop.conns[lo:hi],
+                                            nodes, conns, config)
+
+        run_chunked(count, 1, sequential, work)
+        return out
 
     ordered = sorted(species, key=lambda s: s.species_key)
     keys = [sp.species_key for sp in ordered]
@@ -705,7 +707,6 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.n
 
 def evolve_step(pop: PopulationTensors, species: list[SpeciesState], config: NeatConfig,
                 rng: RngStream, allocator: NodeKeyAllocator, problem,
-                registry: FunctionRegistry | None = None,
                 threads: int = 1, sequential: bool = False
                 ) -> tuple[PopulationTensors, list[SpeciesState], GenerationStats]:
     """Evaluate, then stagnate, allocate, reproduce, and re-speciate.
@@ -715,11 +716,10 @@ def evolve_step(pop: PopulationTensors, species: list[SpeciesState], config: Nea
     evaluated population is returned unchanged with ``stats.solved`` set and
     no reproduction happens.
     """
-    registry = registry or DEFAULT_REGISTRY
     start = time.perf_counter()
 
     fitness = problem.evaluate_population_tensors(
-        pop, registry, rng.child(STAGE_EVAL), threads=threads, sequential=sequential)
+        pop, rng.child(STAGE_EVAL), threads=threads, sequential=sequential)
     evaluated = PopulationTensors(pop.nodes, pop.conns, pop.species_id,
                                   np.asarray(fitness, dtype=np.float64),
                                   pop.num_inputs, pop.num_outputs)

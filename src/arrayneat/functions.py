@@ -1,6 +1,6 @@
-"""Activation and aggregation registries.
+"""Activation and aggregation tables.
 
-Genome tensors store functions as small integer codes; the registry maps the
+Genome tensors store functions as small integer codes; fixed tables map the
 codes to vectorized callables.  Aggregations operate on a full-width value
 array plus a boolean mask of real incoming connections: masked positions are
 replaced by the aggregation's neutral element before reducing along the last

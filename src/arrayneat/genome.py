@@ -24,6 +24,7 @@ from .config import NeatConfig
 from .errors import (BadAttrIndex, CapacityFull, DanglingEndpoint, DuplicateConn,
                      DuplicateKey, IntegrityError, KeyNotFound, ParseError,
                      ProtectedNode)
+from .functions import ACTIVATIONS, AGGREGATIONS
 from .rng import RngStream
 from .search import PAIR_SHIFT
 
@@ -218,6 +219,7 @@ def _conn_row(genome: GenomeTensors, in_key: float, out_key: float) -> int:
 
 def add_node(genome: GenomeTensors, row: NodeRow) -> GenomeTensors:
     """Place a new node gene in the first all-NaN row."""
+    _check_node_genes(row.as_array()[None], IntegrityError)
     if np.any(genome.nodes[:, NODE_KEY] == float(row.key)):
         raise DuplicateKey(f"node key {row.key} already live")
     target = _first_padding_row(genome.nodes)
@@ -299,6 +301,23 @@ def count_live(genome: GenomeTensors) -> tuple[int, int]:
 # integrity checking
 # ---------------------------------------------------------------------------
 
+def _check_node_genes(genes: np.ndarray, exc: type[Exception]) -> None:
+    """Raise ``exc`` unless every (k, 5) live node row has a valid key and known codes."""
+    if np.isnan(genes).any():
+        raise exc("a live node row must hold no NaN")
+    keys = genes[:, NODE_KEY]
+    if np.any(keys < 0) or np.any(keys != np.floor(keys)):
+        raise exc("node keys must be non-negative integers")
+    if np.any(keys >= PAIR_SHIFT):
+        raise exc(f"node keys must stay below {int(PAIR_SHIFT)} (2**26), "
+                  "where connection pair codes stop being exact")
+    for col, table, kind in ((NODE_AGG, AGGREGATIONS, "aggregation"),
+                             (NODE_ACT, ACTIVATIONS, "activation")):
+        unknown = ~np.isin(genes[:, col], list(table))
+        if unknown.any():
+            raise exc(f"{kind} code {genes[unknown, col][0]:g} is not one of {sorted(table)}")
+
+
 def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError) -> None:
     """Raise ``exc`` if the genome violates a structural invariant."""
     nodes, conns = genome.nodes, genome.conns
@@ -314,12 +333,8 @@ def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError
             raise exc(f"{name} row {mixed[0]} mixes NaN and live entries")
 
     live_n = _live_node_mask(nodes)
+    _check_node_genes(nodes[live_n], exc)
     keys = nodes[live_n, NODE_KEY]
-    if np.any(keys < 0) or np.any(keys != np.floor(keys)):
-        raise exc("node keys must be non-negative integers")
-    if np.any(keys >= PAIR_SHIFT):
-        raise exc(f"node keys must stay below {int(PAIR_SHIFT)} (2**26), "
-                  "where connection pair codes stop being exact")
     if np.unique(keys).size != keys.size:
         raise exc("live node keys must be pairwise distinct")
     n_io = genome.num_inputs + genome.num_outputs

@@ -115,7 +115,7 @@ def graph_remove_conn(net: GraphNetwork, in_key: int, out_key: int) -> GraphNetw
 
 def graph_forward(net: GraphNetwork, registry: FunctionRegistry | None,
                   inputs: list[float]) -> list[float]:
-    """Evaluate by memoized recursion from the output nodes.
+    """Evaluate by memoized recursion from the output nodes; ``registry`` is ignored.
 
     Semantics match the tensorized forward pass: connection value is
     weight * upstream value over enabled edges only, node value is

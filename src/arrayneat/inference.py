@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CycleDetected, InvalidInput
-from .functions import DEFAULT_REGISTRY, FunctionRegistry
+from .functions import ACTIVATIONS, DEFAULT_REGISTRY, FunctionRegistry
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
                      GenomeTensors, PopulationTensors, occupied)
@@ -315,22 +315,18 @@ def _check_single(stacked: StackedNetworks) -> None:
         raise InvalidInput(f"expected a single network, got a stack of {stacked.size}")
 
 
-def forward(stacked: StackedNetworks, registry: FunctionRegistry | None = None,
-            inputs=None) -> np.ndarray:
+def forward(stacked: StackedNetworks, inputs) -> np.ndarray:
     """Single input vector (I,) -> output vector (O,) of a stack of one."""
-    registry = registry or DEFAULT_REGISTRY
     _check_single(stacked)
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidInput(f"expected a 1-D input vector, got shape {arr.shape}")
     _check_inputs(arr, stacked.input_rows.shape[1])
-    return forward_arrays(stacked, registry, arr[None, None, :])[0, 0]
+    return forward_arrays(stacked, DEFAULT_REGISTRY, arr[None, None, :])[0, 0]
 
 
-def forward_batch(stacked: StackedNetworks, registry: FunctionRegistry | None = None,
-                  inputs=None) -> np.ndarray:
+def forward_batch(stacked: StackedNetworks, inputs) -> np.ndarray:
     """Input matrix (B, I) -> output matrix (B, O) of a stack of one."""
-    registry = registry or DEFAULT_REGISTRY
     _check_single(stacked)
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 2:
@@ -338,16 +334,14 @@ def forward_batch(stacked: StackedNetworks, registry: FunctionRegistry | None = 
     if arr.shape[0] < 1:
         raise InvalidInput("batch must contain at least one row")
     _check_inputs(arr, stacked.input_rows.shape[1])
-    return forward_arrays(stacked, registry, arr[None])[0]
+    return forward_arrays(stacked, DEFAULT_REGISTRY, arr[None])[0]
 
 
-def population_forward(stacked: StackedNetworks, registry: FunctionRegistry | None = None,
-                       inputs=None) -> np.ndarray:
+def population_forward(stacked: StackedNetworks, inputs) -> np.ndarray:
     """Per-genome inputs (P, I) or (P, B, I) -> per-genome outputs.
 
     Elementwise equal (bitwise) to mapping forward over the genomes.
     """
-    registry = registry or DEFAULT_REGISTRY
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise InvalidInput(f"expected (P, I) or (P, B, I) inputs, got shape {arr.shape}")
@@ -355,24 +349,23 @@ def population_forward(stacked: StackedNetworks, registry: FunctionRegistry | No
         raise InvalidInput(f"expected inputs for {stacked.size} networks, got {arr.shape[0]}")
     _check_inputs(arr, stacked.input_rows.shape[1])
     if arr.ndim == 2:
-        return forward_arrays(stacked, registry, arr[:, None, :])[:, 0, :]
-    return forward_arrays(stacked, registry, arr)
+        return forward_arrays(stacked, DEFAULT_REGISTRY, arr[:, None, :])[:, 0, :]
+    return forward_arrays(stacked, DEFAULT_REGISTRY, arr)
 
 
 # ---------------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------------
 
-def to_dot(genome: GenomeTensors, registry: FunctionRegistry | None = None) -> str:
+def to_dot(genome: GenomeTensors) -> str:
     """Graphviz rendering: nodes labeled key/bias/activation, disabled edges dashed."""
-    registry = registry or DEFAULT_REGISTRY
     lines = ["digraph genome {", "  rankdir=LR;"]
     n_in, n_out = genome.num_inputs, genome.num_outputs
     for row in genome.nodes:
         if np.isnan(row[NODE_KEY]):
             continue
         key = int(row[NODE_KEY])
-        act_name = registry.activations.get(int(row[NODE_ACT]), ("?",))[0]
+        act_name = ACTIVATIONS.get(int(row[NODE_ACT]), ("?",))[0]
         shape = ("box" if key < n_in else
                  "doublecircle" if key < n_in + n_out else "circle")
         lines.append(f'  n{key} [shape={shape}, '

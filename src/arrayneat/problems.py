@@ -18,7 +18,7 @@ import numpy as np
 from .config import NeatConfig
 from .errors import (ConfigError, CycleDetected, InvalidFitness, ShapeMismatch,
                      TerminalState)
-from .functions import DEFAULT_REGISTRY, FunctionRegistry
+from .functions import DEFAULT_REGISTRY
 from .genome import PopulationTensors
 from .inference import StackedNetworks, forward_arrays, transform_arrays
 from .parallel import run_chunked
@@ -151,8 +151,7 @@ def eval_cartpole(forward_fn, rng: RngStream) -> float:
             return float(state.steps)
 
 
-def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
-                       streams: RngStream) -> np.ndarray:
+def _cartpole_lockstep(stacked: StackedNetworks, streams: RngStream) -> np.ndarray:
     """All episodes advance one timestep at a time; terminated genomes freeze.
 
     Once at least half of the current batch has terminated, the batch shrinks
@@ -174,7 +173,7 @@ def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
             stacked = stacked.take(keep)
             state = state[:, keep]
             running, alive, steps = running[keep], alive[keep], steps[keep]
-        outputs = forward_arrays(stacked, registry, state.T[:, None, :])[:, 0, 0]
+        outputs = forward_arrays(stacked, DEFAULT_REGISTRY, state.T[:, None, :])[:, 0, 0]
         force = np.where(outputs > 0, FORCE_MAG, -FORCE_MAG)
         state = np.where(alive, _cartpole_dynamics(*state, force), state)
         steps = steps + alive
@@ -190,18 +189,21 @@ def _cartpole_lockstep(stacked: StackedNetworks, registry: FunctionRegistry,
 # ---------------------------------------------------------------------------
 
 class Problem:
-    """Fitness evaluation interface; higher fitness is better."""
+    """Fitness evaluation interface; higher fitness is better.
+
+    Subclasses override ``evaluate_stacked(stacked, rng, indices)``: one finite
+    fitness per network of ``stacked``, the genomes at population ``indices``.
+    """
 
     name: str
     input_size: int
     output_size: int
 
-    def evaluate_stacked(self, stacked: StackedNetworks, registry: FunctionRegistry,
-                         rng: RngStream, indices: np.ndarray) -> np.ndarray:
+    def evaluate_stacked(self, stacked: StackedNetworks, rng: RngStream,
+                         indices: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate_population_tensors(self, pop: PopulationTensors,
-                                    registry: FunctionRegistry | None = None,
                                     rng: RngStream | None = None,
                                     threads: int = 1, sequential: bool = False) -> np.ndarray:
         """Transform and evaluate a whole population, chunked over genomes.
@@ -210,7 +212,6 @@ class Problem:
         raises ``ShapeMismatch`` and a NaN or infinite value ``InvalidFitness``
         naming the population indices.
         """
-        registry = registry or DEFAULT_REGISTRY
         rng = rng or RngStream(0)
         fitness = np.empty(pop.size)
 
@@ -220,8 +221,7 @@ class Problem:
             if cyclic.size:
                 bad = (cyclic + lo).tolist()
                 raise CycleDetected(f"cyclic genomes at indices {bad}", genome_indices=bad)
-            chunk = np.asarray(self.evaluate_stacked(stacked, registry, rng,
-                                                     indices=np.arange(lo, hi)))
+            chunk = np.asarray(self.evaluate_stacked(stacked, rng, indices=np.arange(lo, hi)))
             if chunk.shape != (hi - lo,):
                 raise ShapeMismatch(f"{type(self).__name__} returned fitness of shape "
                                     f"{chunk.shape} for the {hi - lo} genomes at indices "
@@ -242,9 +242,9 @@ class XorProblem(Problem):
     input_size = 2
     output_size = 1
 
-    def evaluate_stacked(self, stacked, registry, rng, indices):
+    def evaluate_stacked(self, stacked, rng, indices):
         inputs = np.broadcast_to(XOR_INPUTS, (stacked.size,) + XOR_INPUTS.shape)
-        return _xor_fitness(forward_arrays(stacked, registry, inputs))
+        return _xor_fitness(forward_arrays(stacked, DEFAULT_REGISTRY, inputs))
 
 
 class RegressionProblem(Problem):
@@ -262,9 +262,9 @@ class RegressionProblem(Problem):
         self.xs = regression_grid(samples)
         self.ys = self.target_fn(self.xs)
 
-    def evaluate_stacked(self, stacked, registry, rng, indices):
+    def evaluate_stacked(self, stacked, rng, indices):
         inputs = np.broadcast_to(self.xs[:, None], (stacked.size, self.xs.size, 1))
-        return _regression_fitness(forward_arrays(stacked, registry, inputs), self.ys)
+        return _regression_fitness(forward_arrays(stacked, DEFAULT_REGISTRY, inputs), self.ys)
 
 
 class CartPoleProblem(Problem):
@@ -272,8 +272,8 @@ class CartPoleProblem(Problem):
     input_size = 4
     output_size = 1
 
-    def evaluate_stacked(self, stacked, registry, rng, indices):
-        return _cartpole_lockstep(stacked, registry, rng.split(indices))
+    def evaluate_stacked(self, stacked, rng, indices):
+        return _cartpole_lockstep(stacked, rng.split(indices))
 
 
 _PROBLEMS = {"xor": XorProblem, "regression": RegressionProblem, "cartpole": CartPoleProblem}

@@ -244,8 +244,10 @@ class TestInspect:
         lambda text: text.replace(b"1.0", b"NaN", 1),
         lambda text: text.replace(b"1.0", b"1" + b"0" * 400, 1),
         lambda text: text.replace(b"1.0", b"1" + b"0" * 5000, 1),
+        lambda text: text.replace(b"0.0, 1.0],", b"0.0, 9.0],", 1),
+        lambda text: text.replace(b"1.0, 0.0, 1.0],", b"1.0, 1.5, 1.0],", 1),
     ], ids=["truncated", "not-utf8", "overflow", "infinity", "nan", "huge-int",
-            "too-many-digits"])
+            "too-many-digits", "unknown-activation", "fractional-aggregation"])
     def test_malformed_file_exits_1(self, tmp_path, capsys, damage):
         path = tmp_path / "broken.json"
         path.write_bytes(damage(self.write_genome(tmp_path).read_bytes()))

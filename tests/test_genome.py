@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arrayneat import (CapacityFull, ConnRow, DanglingEndpoint, DuplicateConn,
-                       DuplicateKey, KeyNotFound, NodeRow, ParseError,
+                       DuplicateKey, IntegrityError, KeyNotFound, NodeRow, ParseError,
                        ProtectedNode, BadAttrIndex, RngStream, add_conn, add_node,
                        check_integrity, count_live, genomes_equal, init_genome,
                        parse_genome, remove_conn, remove_node, serialize_genome,
@@ -77,6 +77,25 @@ class TestAddRemoveNode:
     def test_duplicate_key(self, fresh_genome):
         with pytest.raises(DuplicateKey):
             add_node(fresh_genome, NodeRow(0, 0.0, 1.0, 0, 1))
+
+    @pytest.mark.parametrize("row", [
+        NodeRow(-3, 0.0, 1.0, 0, 1),
+        NodeRow(7.5, 0.0, 1.0, 0, 1),
+        NodeRow(2 ** 26, 0.0, 1.0, 0, 1),
+        NodeRow(7, 0.0, 1.0, 0, 9),
+        NodeRow(7, 0.0, 1.0, 1.5, 1),
+        NodeRow(7, float("nan"), 1.0, 0, 1),
+    ], ids=["negative-key", "fractional-key", "key-at-pair-code-limit",
+            "unknown-activation", "fractional-aggregation", "nan-bias"])
+    def test_refuses_rows_check_integrity_refuses(self, fresh_genome, row):
+        nodes = fresh_genome.nodes.copy()
+        nodes[3] = row.as_array()
+        with pytest.raises(IntegrityError):
+            check_integrity(type(fresh_genome)(nodes, fresh_genome.conns, 2, 1))
+        before = fresh_genome.nodes.copy()
+        with pytest.raises(IntegrityError):
+            add_node(fresh_genome, row)
+        assert np.array_equal(fresh_genome.nodes, before, equal_nan=True)
 
     def test_remove_cascades_incident_conns(self, fresh_genome):
         g = add_node(fresh_genome, NodeRow(7, 0.0, 1.0, 0, 1))

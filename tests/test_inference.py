@@ -452,8 +452,13 @@ class TestPopulation:
         xs = np.random.default_rng(1).normal(size=(4, 7, 2))
         out = population_forward(nets, inputs=xs)
         assert out.shape == (4, 7, 1)
+        # inputs is the second positional argument of every forward entry point
+        assert np.array_equal(population_forward(nets, xs), out)
         for i, g in enumerate(genomes):
-            assert np.array_equal(out[i], forward_batch(transform(g), inputs=xs[i]))
+            tn = transform(g)
+            assert np.array_equal(out[i], forward_batch(tn, inputs=xs[i]))
+            assert np.array_equal(forward_batch(tn, xs[i]), out[i])
+            assert np.array_equal(forward(tn, xs[i, 0]), forward(tn, inputs=xs[i, 0]))
 
     @pytest.mark.parametrize("call", [
         lambda s: population_forward(s, inputs=np.zeros((s.size + 1, 2))),

@@ -246,8 +246,8 @@ class TestEvaluatePopulation:
 class NonFiniteXor(XorProblem):
     """XOR that hands back NaN at population index 3 and inf at index 11."""
 
-    def evaluate_stacked(self, stacked, registry, rng, indices):
-        fitness = super().evaluate_stacked(stacked, registry, rng, indices)
+    def evaluate_stacked(self, stacked, rng, indices):
+        fitness = super().evaluate_stacked(stacked, rng, indices)
         fitness[indices == 3] = np.nan
         fitness[indices == 11] = np.inf
         return fitness
@@ -256,8 +256,8 @@ class NonFiniteXor(XorProblem):
 class ShortXor(XorProblem):
     """XOR that drops the last genome of every chunk."""
 
-    def evaluate_stacked(self, stacked, registry, rng, indices):
-        return super().evaluate_stacked(stacked, registry, rng, indices)[:-1]
+    def evaluate_stacked(self, stacked, rng, indices):
+        return super().evaluate_stacked(stacked, rng, indices)[:-1]
 
 
 class TestBadFitness:
