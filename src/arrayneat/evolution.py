@@ -497,57 +497,53 @@ def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatCo
     species while the species cap allows, otherwise it joins the nearest
     species.  Afterwards each species' representative becomes the member
     closest to the old representative, and empty species are dropped.
+
+    One first-fit loop takes the representatives in that order, old species
+    first, then as founder the lowest genome still unassigned.  Each is
+    measured only against the genomes still unassigned (one call per genome
+    when sequential), so every distance a decision reads is computed and no
+    other.
     """
     count = pop.size
-    threshold = config.compatibility_threshold
-
-    def distances_to(reps: list[GenomeTensors]) -> np.ndarray:
-        """(len(reps), P) distances; one call per genome when sequential."""
-        nodes = np.stack([g.nodes for g in reps])
-        conns = np.stack([g.conns for g in reps])
-        out = np.empty((len(reps), count))
+    # one cut to the occupied prefix, so each gather of pending rows copies no padding
+    nodes = pop.nodes[:, :occupied(pop.nodes[:, :, NODE_KEY])]
+    conns = pop.conns[:, :occupied(pop.conns[:, :, CONN_IN])]
+    ordered = sorted(species, key=lambda s: s.species_key)
+    next_key = max((sp.species_key for sp in ordered), default=-1) + 1
+    # (key, prior state or None for a founder, distances of the genomes it measured)
+    taken: list[tuple[int, SpeciesState | None, np.ndarray]] = []
+    assigned = np.full(count, -1, dtype=np.int64)
+    pending = np.arange(count)
+    while pending.size and len(taken) < max(len(ordered), config.max_species):
+        if len(taken) < len(ordered):
+            prior = ordered[len(taken)]
+            key, rep = prior.species_key, prior.representative
+            rep_nodes, rep_conns = rep.nodes[None], rep.conns[None]
+        else:
+            prior, key, next_key = None, next_key, next_key + 1
+            rep_nodes, rep_conns = nodes[pending[:1]], conns[pending[:1]]
+        row = np.empty(count)
 
         def work(lo: int, hi: int) -> None:
-            out[:, lo:hi] = distance_arrays(pop.nodes[lo:hi], pop.conns[lo:hi],
-                                            nodes, conns, config)
+            idx = pending[lo:hi]
+            row[idx] = distance_arrays(nodes[idx], conns[idx], rep_nodes, rep_conns, config)[0]
 
-        run_chunked(count, 1, sequential, work)
-        return out
-
-    ordered = sorted(species, key=lambda s: s.species_key)
-    keys = [sp.species_key for sp in ordered]
-    previous: list[SpeciesState | None] = list(ordered)
-    # row r of ``matrix`` holds every genome's distance to species keys[r]
-    matrix = np.empty((0, count))
-    assigned = np.full(count, -1, dtype=np.int64)
-    if ordered:
-        matrix = distances_to([sp.representative for sp in ordered])
-        ok = matrix <= threshold
-        any_ok = ok.any(axis=0)
-        first = ok.argmax(axis=0)
-        assigned[any_ok] = np.array(keys, dtype=np.int64)[first[any_ok]]
-
-    next_key = max(keys, default=-1) + 1
-    founded_at = len(keys)
-    for i in np.nonzero(assigned < 0)[0]:
-        close = matrix[founded_at:, i] <= threshold
-        if close.any():
-            assigned[i] = keys[founded_at + int(close.argmax())]
-        elif len(keys) < config.max_species:
-            matrix = np.concatenate([matrix, distances_to([pop.genome(int(i))])])
-            keys.append(next_key)
-            previous.append(None)
-            assigned[i] = next_key
-            next_key += 1
-        else:
-            assigned[i] = keys[int(matrix[:, i].argmin())]
+        run_chunked(pending.size, 1, sequential, work)
+        close = row[pending] <= config.compatibility_threshold
+        close[0] |= prior is None  # a founder joins its own species
+        assigned[pending[close]] = key
+        pending = pending[~close]
+        taken.append((key, prior, row))
+    if pending.size:  # the cap is reached: each genome left joins its nearest species
+        nearest = np.stack([row[pending] for _, _, row in taken]).argmin(axis=0)
+        assigned[pending] = np.array([key for key, _, _ in taken], dtype=np.int64)[nearest]
 
     result: list[SpeciesState] = []
-    for key, prior, dist_row in zip(keys, previous, matrix):
+    for key, prior, row in taken:
         members = np.nonzero(assigned == key)[0]
         if members.size == 0:
             continue
-        closest = members[int(dist_row[members].argmin())]
+        closest = members[int(row[members].argmin())]
         new_rep = pop.genome(int(closest))
         if prior is not None:
             result.append(replace(prior, representative=new_rep,
@@ -716,6 +712,8 @@ def evolve_step(pop: PopulationTensors, species: list[SpeciesState], config: Nea
     evaluated population is returned unchanged with ``stats.solved`` set and
     no reproduction happens.
     """
+    if pop.size == 0:
+        raise ShapeMismatch("cannot evolve a population with no genomes")
     start = time.perf_counter()
 
     fitness = problem.evaluate_population_tensors(

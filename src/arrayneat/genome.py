@@ -23,7 +23,7 @@ import numpy as np
 from .config import NeatConfig
 from .errors import (BadAttrIndex, CapacityFull, DanglingEndpoint, DuplicateConn,
                      DuplicateKey, IntegrityError, KeyNotFound, ParseError,
-                     ProtectedNode)
+                     ProtectedNode, ShapeMismatch)
 from .functions import ACTIVATIONS, AGGREGATIONS
 from .rng import RngStream
 from .search import PAIR_SHIFT
@@ -102,12 +102,12 @@ class PopulationTensors:
     @classmethod
     def from_genomes(cls, genomes: list[GenomeTensors]) -> "PopulationTensors":
         if not genomes:
-            raise ValueError("population must be non-empty")
+            raise ShapeMismatch("population must be non-empty")
         first = genomes[0]
         for g in genomes[1:]:
             if (g.nodes.shape != first.nodes.shape or g.conns.shape != first.conns.shape
                     or g.num_inputs != first.num_inputs or g.num_outputs != first.num_outputs):
-                raise ValueError("genomes disagree on tensor shapes or I/O counts")
+                raise ShapeMismatch("genomes disagree on tensor shapes or I/O counts")
         n = len(genomes)
         return cls(nodes=np.stack([g.nodes for g in genomes]),
                    conns=np.stack([g.conns for g in genomes]),
@@ -245,6 +245,7 @@ def remove_node(genome: GenomeTensors, key: int) -> GenomeTensors:
 
 def add_conn(genome: GenomeTensors, row: ConnRow) -> GenomeTensors:
     """Place a new connection gene in the first all-NaN row."""
+    _check_conn_genes(row.as_array()[None], IntegrityError)
     dup = (genome.conns[:, CONN_IN] == float(row.in_key)) \
         & (genome.conns[:, CONN_OUT] == float(row.out_key))
     if dup.any():
@@ -276,6 +277,7 @@ def set_node_attr(genome: GenomeTensors, key: int, attr_index: int, value: float
     target = _node_row(genome, float(key))
     nodes = genome.nodes.copy()
     nodes[target, 1 + attr_index] = float(value)
+    _check_node_genes(nodes[target:target + 1], IntegrityError)
     return GenomeTensors(nodes, genome.conns.copy(), genome.num_inputs, genome.num_outputs)
 
 
@@ -287,6 +289,7 @@ def set_conn_attr(genome: GenomeTensors, in_key: int, out_key: int,
     target = _conn_row(genome, float(in_key), float(out_key))
     conns = genome.conns.copy()
     conns[target, 2 + attr_index] = float(value)
+    _check_conn_genes(conns[target:target + 1], IntegrityError)
     return GenomeTensors(genome.nodes.copy(), conns, genome.num_inputs, genome.num_outputs)
 
 
@@ -316,6 +319,15 @@ def _check_node_genes(genes: np.ndarray, exc: type[Exception]) -> None:
         unknown = ~np.isin(genes[:, col], list(table))
         if unknown.any():
             raise exc(f"{kind} code {genes[unknown, col][0]:g} is not one of {sorted(table)}")
+
+
+def _check_conn_genes(genes: np.ndarray, exc: type[Exception]) -> None:
+    """Raise ``exc`` unless every (k, 4) live connection row holds no NaN and a 0/1 flag."""
+    if np.isnan(genes).any():
+        raise exc("a live connection row must hold no NaN")
+    enabled = genes[:, CONN_ENABLED]
+    if not np.all((enabled == 0.0) | (enabled == 1.0)):
+        raise exc("enabled flags must be 0.0 or 1.0")
 
 
 def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError) -> None:
@@ -353,9 +365,7 @@ def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError
             if missing.any():
                 bad = conns[live_c, col][missing][0]
                 raise exc(f"connection {label} {bad} does not refer to a live node")
-        enabled = conns[live_c, CONN_ENABLED]
-        if not np.all((enabled == 0.0) | (enabled == 1.0)):
-            raise exc("enabled flags must be 0.0 or 1.0")
+        _check_conn_genes(conns[live_c], exc)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,18 @@ def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
 
 
 def run_chunked(total: int, threads: int, sequential: bool, work) -> None:
-    """Run ``work(lo, hi)`` over row ranges, on a thread pool when threads > 1."""
+    """Run ``work(lo, hi)`` over row ranges, on a thread pool when threads > 1.
+
+    No chunk runs when ``total`` is 0.
+    """
     if sequential:
         for i in range(total):
             work(i, i + 1)
         return
     ranges = chunk_ranges(total, threads)
-    if len(ranges) == 1:
-        work(*ranges[0])
+    if len(ranges) < 2:
+        for lo, hi in ranges:
+            work(lo, hi)
         return
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         for future in [pool.submit(work, lo, hi) for lo, hi in ranges]:

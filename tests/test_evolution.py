@@ -11,6 +11,7 @@ from arrayneat import (CapacityFull, ConnRow, GenomeTensors, NodeKeyAllocator, P
 from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT,
                               NODE_KEY, NODE_RESPONSE, check_integrity)
 
+from arrayneat import evolution
 from arrayneat.evolution import _add_connections, distance_arrays
 
 from conftest import (dfs_has_cycle, grown_population, live_conn_pairs, live_node_keys,
@@ -366,15 +367,21 @@ class TestSpeciate:
         dists = [distance(pop.genome(i), rep, config) for i in range(8)]
         assert genomes_equal(species[0].representative, pop.genome(int(np.argmin(dists))))
 
-    def test_cap_reached_sequential_path_is_bitwise_equal(self):
+    def test_cap_reached_sequential_path_is_bitwise_equal(self, monkeypatch):
         # two species come in; founders fill the cap, later genomes join the nearest
         config, pop = holey_population(pop_size=60, max_species=5,
                                        compatibility_threshold=1.2)
         previous = [SpeciesState(species_key=key, representative=pop.genome(i),
                                  member_indices=np.array([i]))
                     for key, i in ((3, 0), (8, 1))]
+        measured = []  # genome pairs of each distance call speciate makes
+        monkeypatch.setattr(evolution, "distance_arrays", lambda *a: measured.append(
+            a[0].shape[0] * a[2].shape[0]) or distance_arrays(*a))
         fast_pop, fast = speciate(pop, previous, config)
+        fast_pairs = sum(measured)
+        measured.clear()
         slow_pop, slow = speciate(pop, previous, config, sequential=True)
+        assert sum(measured) == fast_pairs
         assert np.array_equal(fast_pop.species_id, slow_pop.species_id)
         assert [sp.species_key for sp in fast] == [sp.species_key for sp in slow]
         for a, b in zip(fast, slow):
@@ -398,6 +405,13 @@ class TestSpeciate:
             expected.append(keys[within[0] if within else int(matrix[:, i].argmin())])
         assert np.array_equal(fast_pop.species_id, expected)
         assert len(founders) >= 2 and nearest_joins > 0
+        # each representative is the member closest to the old one (or the founder)
+        for sp in fast:
+            row = matrix[keys.index(sp.species_key)]
+            closest = sp.member_indices[int(row[sp.member_indices].argmin())]
+            assert genomes_equal(sp.representative, pop.genome(int(closest)))
+        # each representative was measured only against the genomes still unassigned
+        assert fast_pairs < pop.size * len(keys)
 
     def test_species_count_never_exceeds_cap(self):
         config = make_config(compatibility_threshold=0.0, max_species=3)
@@ -719,6 +733,16 @@ class TestEvolveStep:
         assert np.all(np.isin(state.population.species_id, list(keys)))
         covered = np.concatenate([sp.member_indices for sp in state.species])
         assert sorted(covered.tolist()) == list(range(25))
+
+    def test_empty_population_is_a_shape_mismatch(self):
+        config = make_config(pop_size=20)
+        state = init_state(config)
+        pop = state.population
+        empty = PopulationTensors(pop.nodes[:0], pop.conns[:0], pop.species_id[:0],
+                                  pop.fitness[:0], pop.num_inputs, pop.num_outputs)
+        with pytest.raises(ShapeMismatch, match="no genomes"):
+            evolve_step(empty, state.species, config, RngStream(0).child(0),
+                        state.allocator, make_problem(config))
 
     def test_trajectories_bitwise_identical_across_paths(self):
         config = make_config(seed=9, pop_size=24, node_delete=0.05, conn_delete=0.05)

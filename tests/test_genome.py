@@ -5,8 +5,9 @@ import pytest
 
 from arrayneat import (CapacityFull, ConnRow, DanglingEndpoint, DuplicateConn,
                        DuplicateKey, IntegrityError, KeyNotFound, NodeRow, ParseError,
-                       ProtectedNode, BadAttrIndex, RngStream, add_conn, add_node,
-                       check_integrity, count_live, genomes_equal, init_genome,
+                       PopulationTensors, ProtectedNode, BadAttrIndex, RngStream,
+                       ShapeMismatch, add_conn, add_node, check_integrity,
+                       count_live, genomes_equal, init_genome,
                        parse_genome, remove_conn, remove_node, serialize_genome,
                        set_conn_attr, set_node_attr)
 from arrayneat.genome import CONN_ENABLED, CONN_WEIGHT, NODE_BIAS, NODE_KEY
@@ -134,6 +135,13 @@ class TestAddRemoveConn:
         with pytest.raises(DuplicateConn):
             add_conn(fresh_genome, ConnRow(0, 2, 1.0, 1.0))
 
+    @pytest.mark.parametrize("row", [ConnRow(0, 2, 0.5, 0.1), ConnRow(0, 2, 1.0, float("nan"))],
+                             ids=["half-enabled", "nan-weight"])
+    def test_refuses_rows_check_integrity_refuses(self, fresh_genome, row):
+        g = remove_conn(fresh_genome, 0, 2)
+        with pytest.raises(IntegrityError):
+            add_conn(g, row)
+
     def test_dangling_endpoint(self, fresh_genome):
         with pytest.raises(DanglingEndpoint):
             add_conn(fresh_genome, ConnRow(0, 9, 1.0, 1.0))
@@ -188,11 +196,44 @@ class TestSetAttr:
         with pytest.raises(BadAttrIndex):
             set_conn_attr(fresh_genome, 0, 2, 2, 1.0)
 
+    @pytest.mark.parametrize("attr, value", [
+        (3, 9), (2, 1.5), (0, float("nan")), (1, float("nan")),
+    ], ids=["unknown-activation", "fractional-aggregation", "nan-bias", "nan-response"])
+    def test_node_values_check_integrity_refuses(self, fresh_genome, attr, value):
+        nodes = fresh_genome.nodes.copy()
+        nodes[2, 1 + attr] = value
+        with pytest.raises(IntegrityError):
+            check_integrity(type(fresh_genome)(nodes, fresh_genome.conns, 2, 1))
+        with pytest.raises(IntegrityError):
+            set_node_attr(fresh_genome, 2, attr, value)
+
+    @pytest.mark.parametrize("attr, value", [
+        (0, 0.5), (0, -1.0), (0, float("nan")), (1, float("nan")),
+    ], ids=["half-enabled", "negative-enabled", "nan-enabled", "nan-weight"])
+    def test_conn_values_check_integrity_refuses(self, fresh_genome, attr, value):
+        conns = fresh_genome.conns.copy()
+        conns[0, 2 + attr] = value
+        with pytest.raises(IntegrityError):
+            check_integrity(type(fresh_genome)(fresh_genome.nodes, conns, 2, 1))
+        with pytest.raises(IntegrityError):
+            set_conn_attr(fresh_genome, 0, 2, attr, value)
+
     def test_missing_key(self, fresh_genome):
         with pytest.raises(KeyNotFound):
             set_node_attr(fresh_genome, 42, 0, 1.0)
         with pytest.raises(KeyNotFound):
             set_conn_attr(fresh_genome, 2, 0, 0, 1.0)
+
+
+class TestFromGenomes:
+    def test_empty_list_is_a_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="non-empty"):
+            PopulationTensors.from_genomes([])
+
+    def test_mismatched_genomes_are_a_shape_mismatch(self, fresh_genome):
+        wider = init_genome(make_config(inputs=2, outputs=1, max_nodes=9), stream())
+        with pytest.raises(ShapeMismatch, match="disagree"):
+            PopulationTensors.from_genomes([fresh_genome, wider])
 
 
 class TestCountLive:

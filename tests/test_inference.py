@@ -348,7 +348,9 @@ class TestForward:
         config = make_config(inputs=2, outputs=1, max_nodes=8, max_conns=16)
         tanh = init_genome(config, RngStream(4).child(0, 0, 0))
         tanh = set_node_attr(tanh, 2, 3, ACTIVATION_IDS["tanh"])
-        unknown = set_node_attr(tanh, 2, column, 9)
+        nodes = tanh.nodes.copy()
+        nodes[2, 1 + column] = 9  # set_node_attr refuses the code
+        unknown = GenomeTensors(nodes, tanh.conns, tanh.num_inputs, tanh.num_outputs)
         with pytest.raises(ConfigError, match="code 9"):
             forward(transform(unknown), inputs=[0.3, -0.7])
         pop = PopulationTensors.from_genomes([tanh, unknown])

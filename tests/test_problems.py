@@ -12,6 +12,7 @@ from arrayneat import (ArrayNeatError, CartPoleProblem, CartPoleState, InvalidFi
                        make_problem, problems, set_conn_attr, transform)
 from arrayneat.errors import ConfigError
 from arrayneat.genome import PopulationTensors
+from arrayneat.parallel import run_chunked
 from arrayneat.problems import MAX_STEPS, THETA_LIMIT, X_LIMIT, regression_grid
 
 from conftest import make_config, random_genome
@@ -241,6 +242,19 @@ class TestEvaluatePopulation:
         b = problem.evaluate_population_tensors(pop, rng=rng, threads=4)
         c = problem.evaluate_population_tensors(pop, rng=rng, sequential=True)
         assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+    @pytest.mark.parametrize("threads, sequential", [(1, False), (2, False), (1, True)])
+    def test_empty_population_runs_no_chunk(self, threads, sequential):
+        chunks = []
+        run_chunked(0, threads, sequential, lambda lo, hi: chunks.append((lo, hi)))
+        assert chunks == []
+        g = init_genome(make_config(inputs=2, outputs=1), RngStream(0).child(0, 0, 0))
+        empty = PopulationTensors(g.nodes[None][:0], g.conns[None][:0],
+                                  np.zeros(0, dtype=np.int64), np.zeros(0), 2, 1)
+        fitness = XorProblem().evaluate_population_tensors(empty, threads=threads,
+                                                           sequential=sequential)
+        assert fitness.shape == (0,)
 
 
 class NonFiniteXor(XorProblem):
