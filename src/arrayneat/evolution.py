@@ -451,7 +451,7 @@ def distance_arrays(nodes1: np.ndarray, conns1: np.ndarray,
         width = block1.shape[1]
         cells = np.flatnonzero(~np.isnan(block1[:, :, col]))  # row-major
         owner = cells // width
-        genes = block1.reshape(pop * width, -1).take(cells, axis=0)
+        genes = block1.reshape(pop * width, block1.shape[2]).take(cells, axis=0)  # width may be 0
         codes = codes_of(genes)
         live1 += np.bincount(owner, minlength=pop)
         for j in range(others):

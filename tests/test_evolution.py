@@ -311,6 +311,34 @@ class TestDistanceMatrix:
         assert (matrix[2] > 0).all() and matrix[3, 13] > 0 and matrix[1, 5] == 0.0
 
 
+def check_against_replay(pop, previous, new_pop, species, config):
+    """Oracle: replay the assignment rule over one full-capacity distance
+    matrix from every genome to the old representatives and the founders,
+    and check the ids and that each representative is the member closest to
+    the old one (or to the founder) in that matrix.  Returns the species keys
+    in decision order, the founders and the number of nearest joins."""
+    old_keys = sorted(sp.species_key for sp in previous)
+    founders = [int(sp.member_indices[0]) for sp in species if sp.species_key not in old_keys]
+    keys = old_keys + [sp.species_key for sp in species if sp.species_key not in old_keys]
+    opens = [-1] * len(old_keys) + founders  # first genome each species is open to
+    reps = [sp.representative for sp in sorted(previous, key=lambda sp: sp.species_key)]
+    reps += [pop.genome(i) for i in founders]
+    matrix = distance_arrays(pop.nodes, pop.conns, np.stack([g.nodes for g in reps]),
+                             np.stack([g.conns for g in reps]), config)
+    expected, nearest_joins = [], 0
+    for i in range(pop.size):
+        open_rows = [r for r in range(len(keys)) if opens[r] <= i]
+        within = [r for r in open_rows if matrix[r, i] <= config.compatibility_threshold]
+        nearest_joins += not within
+        expected.append(keys[within[0] if within else int(matrix[:, i].argmin())])
+    assert np.array_equal(new_pop.species_id, expected)
+    for sp in species:
+        row = matrix[keys.index(sp.species_key)]
+        closest = sp.member_indices[int(row[sp.member_indices].argmin())]
+        assert genomes_equal(sp.representative, pop.genome(int(closest)))
+    return keys, founders, nearest_joins
+
+
 class TestSpeciate:
     def ready_population(self, config, seeds):
         genomes = [random_genome(s, config, n_ops=6) for s in seeds]
@@ -389,29 +417,28 @@ class TestSpeciate:
             assert frozen_copy(a.representative.nodes, a.representative.conns) == \
                 frozen_copy(b.representative.nodes, b.representative.conns)
 
-        # oracle: replay the assignment rule over the final representatives
         assert len(fast) == config.max_species
-        founders = [int(sp.member_indices[0]) for sp in fast if sp.species_key > 8]
-        keys = [3, 8] + [sp.species_key for sp in fast if sp.species_key > 8]
-        opens = [-1, -1] + founders  # first genome each species is open to
-        reps = [g.representative for g in previous] + [pop.genome(i) for i in founders]
-        matrix = distance_arrays(pop.nodes, pop.conns, np.stack([g.nodes for g in reps]),
-                                 np.stack([g.conns for g in reps]), config)
-        expected, nearest_joins = [], 0
-        for i in range(pop.size):
-            open_rows = [r for r in range(len(keys)) if opens[r] <= i]
-            within = [r for r in open_rows if matrix[r, i] <= config.compatibility_threshold]
-            nearest_joins += not within
-            expected.append(keys[within[0] if within else int(matrix[:, i].argmin())])
-        assert np.array_equal(fast_pop.species_id, expected)
+        keys, founders, nearest_joins = check_against_replay(pop, previous, fast_pop, fast,
+                                                             config)
         assert len(founders) >= 2 and nearest_joins > 0
-        # each representative is the member closest to the old one (or the founder)
-        for sp in fast:
-            row = matrix[keys.index(sp.species_key)]
-            closest = sp.member_indices[int(row[sp.member_indices].argmin())]
-            assert genomes_equal(sp.representative, pop.genome(int(closest)))
         # each representative was measured only against the genomes still unassigned
         assert fast_pairs < pop.size * len(keys)
+
+    def test_population_without_live_connections(self):
+        # every genome's connection block is padding, so each distance call
+        # speciate makes cuts block 1 to zero connection rows
+        config, pop = holey_population(pop_size=30, max_species=4,
+                                       compatibility_threshold=1.0)
+        previous = [SpeciesState(species_key=5, representative=pop.genome(0),
+                                 member_indices=np.array([0]))]
+        pop.conns[:] = np.nan
+        new_pop, species = speciate(pop, previous, config)
+        slow_pop, slow = speciate(pop, previous, config, sequential=True)
+        assert np.array_equal(new_pop.species_id, slow_pop.species_id)
+        assert len(species) == config.max_species
+        _, founders, nearest_joins = check_against_replay(pop, previous, new_pop, species,
+                                                          config)
+        assert len(founders) == 3 and nearest_joins > 0
 
     def test_species_count_never_exceeds_cap(self):
         config = make_config(compatibility_threshold=0.0, max_species=3)
