@@ -22,6 +22,12 @@ _PROBABILITY_FIELDS = (
     "activation_replace_rate", "aggregation_replace_rate",
     "enabled_mutate_rate", "survival_threshold",
 )
+# an infinite target is never reached; an infinite threshold puts everyone in one species
+_UNBOUNDED_FIELDS = ("fitness_target", "compatibility_threshold")
+_NON_NEGATIVE_FIELDS = (
+    "compatibility_threshold", "compatibility_disjoint", "compatibility_homologous",
+    "spawn_number_change_rate", "genome_elitism", "species_elitism",
+)
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,14 @@ class NeatConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigError(f"{f.name} must be a number, got nan")
+            if isinstance(value, float) and math.isinf(value) and f.name not in _UNBOUNDED_FIELDS:
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if not -2 ** 63 <= self.seed < 2 ** 63:
+            raise ConfigError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
+        for name in _NON_NEGATIVE_FIELDS:
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         for name in _PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -69,7 +69,6 @@ class SpeciesState:
     member_indices: np.ndarray                 # int64 indices into the population
     best_fitness: float = -math.inf            # best species fitness seen so far
     stagnation_counter: int = 0
-    spawn_count: int = 0
 
 
 @dataclass
@@ -326,59 +325,41 @@ def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
                      sub: np.ndarray, u_pick: np.ndarray, z_weight: np.ndarray) -> None:
     """Connection-addition sub-step for the fired genome subset (in place).
 
-    Candidates live in a compacted live-node rank space so the acyclicity
-    closure only pays for live nodes; reachable sets are bitsets of
-    ``ceil(m / 64)`` words, so one code path serves any number ``m`` of live
-    nodes.  Rank order equals row order, so the uniform pick enumerates
-    candidates exactly as the full-width formulation would; all quantities
-    here are boolean or integer, hence exact regardless of how the population
-    is batched.
+    Candidates are (source row, target row) pairs of live nodes, enumerated
+    row-major.  Reachable sets are bitsets of ``ceil(n / 64)`` words over the
+    ``n`` node rows, which ``mutate_arrays`` has cut to the occupied prefix
+    plus one, so the acyclicity closure pays for little padding.  All
+    quantities here are boolean or integer, hence exact regardless of how
+    the population is batched.
     """
     n_io = config.inputs + config.outputs
-    live_node = ~np.isnan(nodes[sub, :, NODE_KEY])
-    m = int(live_node.sum(axis=1).max())
-    live_rows = np.argsort(~live_node, axis=1, kind="stable")[:, :m]
-    live_count = live_node.sum(axis=1)
-    valid = np.arange(m)[None, :] < live_count[:, None]
-    rank_keys = np.take_along_axis(nodes[sub, :, NODE_KEY], live_rows, axis=1)
-
-    sub_keys = nodes[sub, :, NODE_KEY]
-    c = conns.shape[1]
+    n, c = nodes.shape[1], conns.shape[1]
+    keys = nodes[sub, :, NODE_KEY]
+    live_node = ~np.isnan(keys)
     endpoint_rows, _ = rows_of_io_keys(
-        np.concatenate([conns[sub, :, CONN_IN], conns[sub, :, CONN_OUT]], axis=1),
-        sub_keys, n_io)
-    in_row = endpoint_rows[:, :c]
-    out_row = endpoint_rows[:, c:]
-    rank_of_row = np.cumsum(live_node, axis=1) - 1
-    in_rank = np.take_along_axis(rank_of_row, in_row, axis=1)
-    out_rank = np.take_along_axis(rank_of_row, out_row, axis=1)
-
+        np.concatenate([conns[sub, :, CONN_IN], conns[sub, :, CONN_OUT]], axis=1), keys, n_io)
     live_conn = ~np.isnan(conns[sub, :, CONN_IN])
     count = sub.size
     fm, cm = np.nonzero(live_conn)
-    # row u of ``reach`` starts as the set of ranks u has a live connection to
-    reach = bitsets((count, m), m, (fm, in_rank[fm, cm]), out_rank[fm, cm])
+    # row u of ``reach`` starts as the set of rows u has a live connection to
+    reach = bitsets((count, n), n, (fm, endpoint_rows[fm, cm]), endpoint_rows[fm, c + cm])
 
-    allowed = valid[:, :, None] & valid[:, None, :] & ~bitset_members(reach, m)
-    is_output = (rank_keys >= config.inputs) & (rank_keys < n_io)
-    is_input = rank_keys < config.inputs
-    allowed &= ~is_output[:, :, None]
-    allowed &= ~is_input[:, None, :]
+    allowed = live_node[:, :, None] & live_node[:, None, :] & ~bitset_members(reach, n)
+    allowed &= ~((keys >= config.inputs) & (keys < n_io))[:, :, None]  # from an output
+    allowed &= ~(keys < config.inputs)[:, None, :]  # into an input
     if config.network_type == "feedforward":
         # u -> v is safe iff v does not already reach u over live connections;
         # bitset Floyd-Warshall closes ``reach`` over paths, u reaching itself
-        ranks = np.arange(m)
-        word, bit = bit_address(ranks)
-        reach[:, ranks, word] |= bit
-        for k in ranks:
+        rows = np.arange(n)
+        word, bit = bit_address(rows)
+        reach[:, rows, word] |= bit
+        for k in rows:
             via_k = (reach[:, :, word[k], None] & bit[k]) != 0
             reach |= via_k * reach[:, k, None, :]
-        allowed &= ~np.transpose(bitset_members(reach, m), (0, 2, 1))
+        allowed &= ~np.transpose(bitset_members(reach, n), (0, 2, 1))
 
-    pick_flat, has_candidate = _pick_kth_true(allowed.reshape(count, m * m), u_pick)
-    u_rank, v_rank = np.divmod(pick_flat, m)
-    src_row = np.take_along_axis(live_rows, u_rank[:, None], axis=1)[:, 0]
-    dst_row = np.take_along_axis(live_rows, v_rank[:, None], axis=1)[:, 0]
+    pick_flat, has_candidate = _pick_kth_true(allowed.reshape(count, n * n), u_pick)
+    src_row, dst_row = np.divmod(pick_flat, n)
     free_row = (~live_conn).argmax(axis=1)
     new_weight = config.weight_init_mean + config.weight_init_std * z_weight
 
@@ -386,8 +367,8 @@ def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
     if tgt.size:
         genome = sub[tgt]
         conns[genome, free_row[tgt]] = np.column_stack([
-            nodes[genome, src_row[tgt], NODE_KEY],
-            nodes[genome, dst_row[tgt], NODE_KEY],
+            keys[tgt, src_row[tgt]],
+            keys[tgt, dst_row[tgt]],
             np.ones(tgt.size),
             new_weight[tgt]])
 
@@ -489,8 +470,10 @@ def distance(g1: GenomeTensors, g2: GenomeTensors, config: NeatConfig) -> float:
 
 def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatConfig,
              sequential: bool = False
-             ) -> tuple[PopulationTensors, list[SpeciesState]]:
+             ) -> tuple[np.ndarray, list[SpeciesState]]:
     """Assign every genome to a species and refresh representatives.
+
+    Returns each genome's species key, (P,) int64, and the species list.
 
     Genomes join the first species (ascending key) whose representative is
     within the compatibility threshold.  A genome matching none founds a new
@@ -546,14 +529,11 @@ def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatCo
         closest = members[int(row[members].argmin())]
         new_rep = pop.genome(int(closest))
         if prior is not None:
-            result.append(replace(prior, representative=new_rep,
-                                  member_indices=members, spawn_count=0))
+            result.append(replace(prior, representative=new_rep, member_indices=members))
         else:
             result.append(SpeciesState(species_key=key, representative=new_rep,
                                        member_indices=members))
-    new_pop = PopulationTensors(pop.nodes, pop.conns, assigned, pop.fitness,
-                                pop.num_inputs, pop.num_outputs)
-    return new_pop, result
+    return assigned, result
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +563,8 @@ def update_stagnation(species: list[SpeciesState], fitness: np.ndarray,
 
 
 def allocate_spawns(species: list[SpeciesState], fitness: np.ndarray,
-                    config: NeatConfig) -> list[SpeciesState]:
-    """Distribute next-generation slots across species.
+                    config: NeatConfig) -> dict[int, int]:
+    """Distribute next-generation slots across species: species key -> slots.
 
     Targets are proportional to min-shifted species mean fitness; the move
     from the old size toward the target is clamped to a fraction r of the old
@@ -614,21 +594,23 @@ def allocate_spawns(species: list[SpeciesState], fitness: np.ndarray,
         give = min(1 - int(new[needy]), int(new[donor]) - 1)
         new[needy] += give
         new[donor] -= give
-    return [replace(sp, spawn_count=int(spawn)) for sp, spawn in zip(ordered, new)]
+    return {sp.species_key: int(spawn) for sp, spawn in zip(ordered, new)}
 
 
 # ---------------------------------------------------------------------------
 # reproduction
 # ---------------------------------------------------------------------------
 
-def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.ndarray,
-              config: NeatConfig, rng: RngStream, allocator: NodeKeyAllocator,
-              threads: int = 1, sequential: bool = False) -> PopulationTensors:
+def reproduce(pop: PopulationTensors, species: list[SpeciesState], spawns: dict[int, int],
+              fitness: np.ndarray, config: NeatConfig, rng: RngStream,
+              allocator: NodeKeyAllocator, threads: int = 1,
+              sequential: bool = False) -> PopulationTensors:
     """Build the next generation: per-species elites plus mutated crossover.
 
-    Slot layout is deterministic (species in key order, elites first).  Every
-    slot owns the stream (generation, STAGE_REPRODUCE, slot) and one reserved
-    node key, so the result is independent of chunking or thread count.
+    Each species fills ``spawns[species_key]`` slots.  Slot layout is
+    deterministic (species in key order, elites first).  Every slot owns the
+    stream (generation, STAGE_REPRODUCE, slot) and one reserved node key, so
+    the result is independent of chunking or thread count.
     """
     total = config.pop_size
     base_key = allocator.reserve(total)
@@ -643,7 +625,7 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.n
     for sp in sorted(species, key=lambda s: s.species_key):
         members = sp.member_indices
         ranking = members[np.lexsort((members, -fitness[members]))]
-        spawn = sp.spawn_count
+        spawn = spawns[sp.species_key]
         n_elite = min(config.genome_elitism, spawn, ranking.size)
         elite_src[slot:slot + n_elite] = ranking[:n_elite]
         survivors = ranking[:max(1, math.ceil(config.survival_threshold * ranking.size))]
@@ -691,10 +673,7 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], fitness: np.n
             child_conns[mask] = pop.conns[elites[mask]]
 
     run_chunked(total, threads, sequential, work)
-    return PopulationTensors(out_nodes, out_conns,
-                             np.full(total, -1, dtype=np.int64),
-                             np.full(total, np.nan),
-                             pop.num_inputs, pop.num_outputs)
+    return PopulationTensors(out_nodes, out_conns, pop.num_inputs, pop.num_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -708,46 +687,42 @@ def evolve_step(pop: PopulationTensors, species: list[SpeciesState], config: Nea
     """Evaluate, then stagnate, allocate, reproduce, and re-speciate.
 
     ``rng`` must already be scoped to this generation (the caller passes
-    ``root.child(generation)``).  When the fitness target is reached the
-    evaluated population is returned unchanged with ``stats.solved`` set and
-    no reproduction happens.
+    ``root.child(generation)``).  When the fitness target is reached ``pop``
+    itself is returned with ``stats.solved`` set and no reproduction happens.
     """
     if pop.size == 0:
         raise ShapeMismatch("cannot evolve a population with no genomes")
     start = time.perf_counter()
 
-    fitness = problem.evaluate_population_tensors(
-        pop, rng.child(STAGE_EVAL), threads=threads, sequential=sequential)
-    evaluated = PopulationTensors(pop.nodes, pop.conns, pop.species_id,
-                                  np.asarray(fitness, dtype=np.float64),
-                                  pop.num_inputs, pop.num_outputs)
+    fitness = np.asarray(problem.evaluate_population_tensors(
+        pop, rng.child(STAGE_EVAL), threads=threads, sequential=sequential), dtype=np.float64)
 
-    live_nodes = (~np.isnan(evaluated.nodes[:, :, NODE_KEY])).sum(axis=1)
-    live_conns = (~np.isnan(evaluated.conns[:, :, CONN_IN])).sum(axis=1)
-    best_index = int(evaluated.fitness.argmax())
+    live_nodes = (~np.isnan(pop.nodes[:, :, NODE_KEY])).sum(axis=1)
+    live_conns = (~np.isnan(pop.conns[:, :, CONN_IN])).sum(axis=1)
+    best_index = int(fitness.argmax())
     stats = GenerationStats(
-        best_fitness=float(evaluated.fitness[best_index]),
-        mean_fitness=float(evaluated.fitness.mean()),
+        best_fitness=float(fitness[best_index]),
+        mean_fitness=float(fitness.mean()),
         species_count=len(species),
         mean_live_nodes=float(live_nodes.mean()),
         mean_live_conns=float(live_conns.mean()),
         elapsed_seconds=0.0,
         solved=False,
-        best_genome=evaluated.genome(best_index),
+        best_genome=pop.genome(best_index),
     )
 
     if stats.best_fitness >= config.fitness_target:
         stats.solved = True
         stats.elapsed_seconds = time.perf_counter() - start
-        return evaluated, species, stats
+        return pop, species, stats
 
-    survivors = update_stagnation(species, evaluated.fitness, config)
+    survivors = update_stagnation(species, fitness, config)
     if not survivors:
         raise ExtinctionError("all species stagnated; increase species_elitism")
-    allocated = allocate_spawns(survivors, evaluated.fitness, config)
-    offspring = reproduce(evaluated, allocated, evaluated.fitness, config, rng,
-                          allocator, threads=threads, sequential=sequential)
-    new_pop, new_species = speciate(offspring, allocated, config, sequential=sequential)
+    spawns = allocate_spawns(survivors, fitness, config)
+    offspring = reproduce(pop, survivors, spawns, fitness, config, rng, allocator,
+                          threads=threads, sequential=sequential)
+    _, new_species = speciate(offspring, survivors, config, sequential=sequential)
 
     stats.elapsed_seconds = time.perf_counter() - start
-    return new_pop, new_species, stats
+    return offspring, new_species, stats

@@ -83,11 +83,9 @@ class GenomeTensors:
 
 @dataclass(eq=False)
 class PopulationTensors:
-    """Genome tensors stacked along a population axis, plus bookkeeping."""
+    """Genome tensors stacked along a population axis."""
     nodes: np.ndarray       # (P, max_nodes, 5)
     conns: np.ndarray       # (P, max_conns, 4)
-    species_id: np.ndarray  # (P,) int64, -1 before speciation
-    fitness: np.ndarray     # (P,) float64, NaN before evaluation
     num_inputs: int
     num_outputs: int
 
@@ -108,11 +106,8 @@ class PopulationTensors:
             if (g.nodes.shape != first.nodes.shape or g.conns.shape != first.conns.shape
                     or g.num_inputs != first.num_inputs or g.num_outputs != first.num_outputs):
                 raise ShapeMismatch("genomes disagree on tensor shapes or I/O counts")
-        n = len(genomes)
         return cls(nodes=np.stack([g.nodes for g in genomes]),
                    conns=np.stack([g.conns for g in genomes]),
-                   species_id=np.full(n, -1, dtype=np.int64),
-                   fitness=np.full(n, np.nan),
                    num_inputs=first.num_inputs,
                    num_outputs=first.num_outputs)
 

@@ -56,11 +56,8 @@ def init_state(config: NeatConfig) -> EvolutionState:
     root = RngStream(config.seed)
     streams = root.child(0, STAGE_INIT).split(np.arange(config.pop_size))
     nodes, conns = init_arrays(config, streams)
-    pop = PopulationTensors(nodes, conns,
-                            np.full(config.pop_size, -1, dtype=np.int64),
-                            np.full(config.pop_size, np.nan),
-                            config.inputs, config.outputs)
-    pop, species = speciate(pop, [], config)
+    pop = PopulationTensors(nodes, conns, config.inputs, config.outputs)
+    _, species = speciate(pop, [], config)
     allocator = NodeKeyAllocator(next_key=config.inputs + config.outputs)
     return EvolutionState(config=config, population=pop, species=species,
                           allocator=allocator)
@@ -82,8 +79,6 @@ def save_checkpoint(path, state: EvolutionState) -> None:
         "next_key": state.allocator.next_key,
         "nodes": state.population.nodes,
         "conns": state.population.conns,
-        "species_id": state.population.species_id,
-        "fitness": state.population.fitness,
         "stats_rows": list(state.stats_rows),
         "species": [
             {
@@ -93,7 +88,6 @@ def save_checkpoint(path, state: EvolutionState) -> None:
                 "member_indices": sp.member_indices,
                 "best_fitness": sp.best_fitness,
                 "stagnation_counter": sp.stagnation_counter,
-                "spawn_count": sp.spawn_count,
             }
             for sp in state.species
         ],
@@ -102,10 +96,10 @@ def save_checkpoint(path, state: EvolutionState) -> None:
         pickle.dump(payload, fh)
 
 
-_CHECKPOINT_KEYS = ("config", "generation", "next_key", "nodes", "conns", "species_id",
-                    "fitness", "stats_rows", "species")
+_CHECKPOINT_KEYS = ("config", "generation", "next_key", "nodes", "conns", "stats_rows",
+                    "species")
 _SPECIES_KEYS = ("species_key", "rep_nodes", "rep_conns", "member_indices", "best_fitness",
-                 "stagnation_counter", "spawn_count")
+                 "stagnation_counter")
 
 
 def _with_keys(entry, keys: tuple[str, ...], what: str) -> dict:
@@ -121,6 +115,7 @@ def load_checkpoint(path) -> EvolutionState:
 
     Bytes that do not unpickle and payloads that lack a key ``save_checkpoint``
     writes (a checkpoint of an earlier format, say) are rejected, not converted.
+    Keys it does not read are ignored.
     """
     with open(path, "rb") as fh:
         try:
@@ -135,7 +130,6 @@ def load_checkpoint(path) -> EvolutionState:
                for i, entry in enumerate(payload["species"])]
     config = parse_config_text(payload["config"])
     population = PopulationTensors(payload["nodes"], payload["conns"],
-                                   payload["species_id"], payload["fitness"],
                                    config.inputs, config.outputs)
     species = [
         SpeciesState(
@@ -145,7 +139,6 @@ def load_checkpoint(path) -> EvolutionState:
             member_indices=entry["member_indices"],
             best_fitness=float(entry["best_fitness"]),
             stagnation_counter=entry["stagnation_counter"],
-            spawn_count=entry["spawn_count"],
         )
         for entry in entries
     ]

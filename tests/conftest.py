@@ -152,5 +152,4 @@ def grown_population(config: NeatConfig, rounds: int, seed: int = 0) -> Populati
         base = allocator.reserve(pop_size)
         mutate_arrays(nodes, conns, config, RngStream(seed).child(generation, 2).split(slots),
                       np.arange(base, base + pop_size, dtype=np.float64))
-    return PopulationTensors(nodes, conns, np.full(pop_size, -1, dtype=np.int64),
-                             np.full(pop_size, np.nan), config.inputs, config.outputs)
+    return PopulationTensors(nodes, conns, config.inputs, config.outputs)

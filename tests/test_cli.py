@@ -75,6 +75,32 @@ class TestConfigParsing:
             make_config(network_type="recurrent")
         assert make_config(network_type="feedforward").network_type == "feedforward"
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = 99999999999999999999", "seed must fit in a signed 64-bit integer"),
+        ("seed = -9223372036854775809", "seed must fit in a signed 64-bit integer"),
+        ("genome_elitism = -1", "genome_elitism must be >= 0"),
+        ("species_elitism = -1", "species_elitism must be >= 0"),
+        ("spawn_number_change_rate = -0.5", "spawn_number_change_rate must be >= 0"),
+        ("compatibility_threshold = -1", "compatibility_threshold must be >= 0"),
+        ("compatibility_disjoint = -1", "compatibility_disjoint must be >= 0"),
+        ("compatibility_homologous = -0.5", "compatibility_homologous must be >= 0"),
+        ("compatibility_disjoint = inf", "compatibility_disjoint must be finite"),
+        ("compatibility_homologous = inf", "compatibility_homologous must be finite"),
+        ("bias_init_mean = inf", "bias_init_mean must be finite"),
+        ("weight_init_std = inf", "weight_init_std must be finite"),
+        ("attr_min = -inf", "attr_min must be finite"),
+    ])
+    def test_value_that_breaks_a_run_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(line + "\n")
+
+    def test_bounds_of_the_value_checks_accepted(self):
+        config = parse_config_text("seed = 9223372036854775807\ncompatibility_threshold = inf\n"
+                                   "genome_elitism = 0\nspecies_elitism = 0\n"
+                                   "spawn_number_change_rate = 0\nfitness_target = -inf\n")
+        assert config.seed == 2 ** 63 - 1 and config.compatibility_threshold == float("inf")
+        assert parse_config_text("seed = -9223372036854775808\n").seed == -2 ** 63
+
 
     @pytest.mark.parametrize("name", ["weight_mutate_power", "compatibility_threshold",
                                       "attr_min", "bias_init_std"])
@@ -129,6 +155,18 @@ class TestRun:
         assert (tmp_path / "base/stats.csv").read_bytes() != \
             (tmp_path / "env/stats.csv").read_bytes()
 
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_huge_seed_exits_1(self, config_file, tmp_path, monkeypatch, capsys, source):
+        huge = "99999999999999999999"
+        if source == "file":
+            config_file.write_text(XOR_CONFIG.replace("seed = 3", f"seed = {huge}"))
+        else:
+            monkeypatch.setenv("TNEAT_SEED", huge)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: seed must fit")
+
     def test_bad_config_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -153,8 +191,26 @@ def earlier_format(payload: bytes) -> bytes:
     return pickle.dumps(data)
 
 
+def with_earlier_keys(path) -> None:
+    """Add the per-generation keys that earlier versions also wrote: each
+    genome's species id, NaN fitness, and each species' spawn count."""
+    data = pickle.loads(path.read_bytes())
+    data["species_id"] = np.full(len(data["nodes"]), -1, dtype=np.int64)
+    for entry in data["species"]:
+        data["species_id"][entry["member_indices"]] = entry["species_key"]
+        entry["spawn_count"] = 0
+    data["fitness"] = np.full(len(data["nodes"]), np.nan)
+    path.write_bytes(pickle.dumps(data))
+
+
 class TestResume:
     def test_resume_bitwise_matches_uninterrupted(self, tmp_path):
+        self.check_resume(tmp_path)
+
+    def test_checkpoint_with_earlier_keys_resumes_bitwise(self, tmp_path):
+        self.check_resume(tmp_path, with_earlier_keys)
+
+    def check_resume(self, tmp_path, edit=None):
         full_cfg = make_config(seed=5, pop_size=25, generation_limit=12,
                                problem="xor", fitness_target=float("inf"))
         run_experiment(full_cfg, tmp_path / "full")
@@ -167,6 +223,8 @@ class TestResume:
         ckpt.config = full_cfg
         from arrayneat.runner import save_checkpoint
         save_checkpoint(tmp_path / "half/checkpoint.pkl", ckpt)
+        if edit is not None:
+            edit(tmp_path / "half/checkpoint.pkl")
 
         run_experiment(None, tmp_path / "resumed",
                        resume_path=tmp_path / "half/checkpoint.pkl")

@@ -311,7 +311,7 @@ class TestDistanceMatrix:
         assert (matrix[2] > 0).all() and matrix[3, 13] > 0 and matrix[1, 5] == 0.0
 
 
-def check_against_replay(pop, previous, new_pop, species, config):
+def check_against_replay(pop, previous, ids, species, config):
     """Oracle: replay the assignment rule over one full-capacity distance
     matrix from every genome to the old representatives and the founders,
     and check the ids and that each representative is the member closest to
@@ -331,7 +331,7 @@ def check_against_replay(pop, previous, new_pop, species, config):
         within = [r for r in open_rows if matrix[r, i] <= config.compatibility_threshold]
         nearest_joins += not within
         expected.append(keys[within[0] if within else int(matrix[:, i].argmin())])
-    assert np.array_equal(new_pop.species_id, expected)
+    assert np.array_equal(ids, expected)
     for sp in species:
         row = matrix[keys.index(sp.species_key)]
         closest = sp.member_indices[int(row[sp.member_indices].argmin())]
@@ -347,15 +347,15 @@ class TestSpeciate:
     def test_everyone_within_threshold_single_species(self):
         config = make_config(compatibility_threshold=1e9)
         pop = self.ready_population(config, range(10))
-        pop, species = speciate(pop, [], config)
+        ids, species = speciate(pop, [], config)
         assert len(species) == 1
         assert species[0].member_indices.size == 10
-        assert np.all(pop.species_id == species[0].species_key)
+        assert np.all(ids == species[0].species_key)
 
     def test_zero_threshold_all_distinct_singletons(self):
         config = make_config(compatibility_threshold=0.0, max_species=20, pop_size=40)
         pop = self.ready_population(config, range(6))
-        pop, species = speciate(pop, [], config)
+        _, species = speciate(pop, [], config)
         assert len(species) == 6
         assert all(sp.member_indices.size == 1 for sp in species)
 
@@ -363,13 +363,13 @@ class TestSpeciate:
         # oracle: exhaustive distance table over three mutually distant genomes
         config = make_config(compatibility_threshold=0.0, max_species=2)
         pop = self.ready_population(config, [3, 14, 25])
-        pop, species = speciate(pop, [], config)
+        ids, species = speciate(pop, [], config)
         assert len(species) == 2
         d = {(i, j): distance(pop.genome(i), pop.genome(j), config)
              for i in range(3) for j in range(2)}
         # genome 0 founds species A, genome 1 founds B, genome 2 joins nearest
         expected_home = 0 if d[(2, 0)] <= d[(2, 1)] else 1
-        assert pop.species_id[2] == species[expected_home].species_key
+        assert ids[2] == species[expected_home].species_key
 
     def test_assignment_prefers_first_species_in_key_order(self):
         config = make_config(compatibility_threshold=1e9, max_species=8)
@@ -380,7 +380,7 @@ class TestSpeciate:
             SpeciesState(species_key=9, representative=pop.genome(1),
                          member_indices=np.array([1])),
         ]
-        pop, species = speciate(pop, previous, config)
+        _, species = speciate(pop, previous, config)
         # both match everything; everyone lands in key 4
         assert [sp.species_key for sp in species] == [4]
         assert species[0].member_indices.size == 5
@@ -391,7 +391,7 @@ class TestSpeciate:
         rep = pop.genome(3)
         previous = [SpeciesState(species_key=0, representative=rep,
                                  member_indices=np.array([3]))]
-        pop, species = speciate(pop, previous, config)
+        _, species = speciate(pop, previous, config)
         dists = [distance(pop.genome(i), rep, config) for i in range(8)]
         assert genomes_equal(species[0].representative, pop.genome(int(np.argmin(dists))))
 
@@ -405,12 +405,12 @@ class TestSpeciate:
         measured = []  # genome pairs of each distance call speciate makes
         monkeypatch.setattr(evolution, "distance_arrays", lambda *a: measured.append(
             a[0].shape[0] * a[2].shape[0]) or distance_arrays(*a))
-        fast_pop, fast = speciate(pop, previous, config)
+        fast_ids, fast = speciate(pop, previous, config)
         fast_pairs = sum(measured)
         measured.clear()
-        slow_pop, slow = speciate(pop, previous, config, sequential=True)
+        slow_ids, slow = speciate(pop, previous, config, sequential=True)
         assert sum(measured) == fast_pairs
-        assert np.array_equal(fast_pop.species_id, slow_pop.species_id)
+        assert np.array_equal(fast_ids, slow_ids)
         assert [sp.species_key for sp in fast] == [sp.species_key for sp in slow]
         for a, b in zip(fast, slow):
             assert np.array_equal(a.member_indices, b.member_indices)
@@ -418,7 +418,7 @@ class TestSpeciate:
                 frozen_copy(b.representative.nodes, b.representative.conns)
 
         assert len(fast) == config.max_species
-        keys, founders, nearest_joins = check_against_replay(pop, previous, fast_pop, fast,
+        keys, founders, nearest_joins = check_against_replay(pop, previous, fast_ids, fast,
                                                              config)
         assert len(founders) >= 2 and nearest_joins > 0
         # each representative was measured only against the genomes still unassigned
@@ -432,20 +432,20 @@ class TestSpeciate:
         previous = [SpeciesState(species_key=5, representative=pop.genome(0),
                                  member_indices=np.array([0]))]
         pop.conns[:] = np.nan
-        new_pop, species = speciate(pop, previous, config)
-        slow_pop, slow = speciate(pop, previous, config, sequential=True)
-        assert np.array_equal(new_pop.species_id, slow_pop.species_id)
+        ids, species = speciate(pop, previous, config)
+        slow_ids, slow = speciate(pop, previous, config, sequential=True)
+        assert np.array_equal(ids, slow_ids)
         assert len(species) == config.max_species
-        _, founders, nearest_joins = check_against_replay(pop, previous, new_pop, species,
+        _, founders, nearest_joins = check_against_replay(pop, previous, ids, species,
                                                           config)
         assert len(founders) == 3 and nearest_joins > 0
 
     def test_species_count_never_exceeds_cap(self):
         config = make_config(compatibility_threshold=0.0, max_species=3)
         pop = self.ready_population(config, range(12))
-        pop, species = speciate(pop, [], config)
+        ids, species = speciate(pop, [], config)
         assert len(species) == 3
-        assert np.all(pop.species_id >= 0)
+        assert np.all(ids >= 0)
 
 
 class TestStagnation:
@@ -525,13 +525,13 @@ class TestAllocateSpawns:
         config = make_config(pop_size=37)
         species, fitness = self.species_with([(2.0, 5)])
         out = allocate_spawns(species, fitness, config)
-        assert out[0].spawn_count == 37
+        assert out == {0: 37}
 
     def test_equal_split_symmetric(self):
         config = make_config(pop_size=20)
         species, fitness = self.species_with([(3.0, 10), (3.0, 10)])
         out = allocate_spawns(species, fitness, config)
-        assert [sp.spawn_count for sp in out] == [10, 10]
+        assert list(out.values()) == [10, 10]
 
     def test_clamped_move_toward_equal_targets(self):
         # sizes (90, 10) with equal fitness, r = 0.5, P = 100; the slow species
@@ -539,8 +539,8 @@ class TestAllocateSpawns:
         config = make_config(pop_size=100, spawn_number_change_rate=0.5)
         species, fitness = self.species_with([(5.0, 90), (5.0, 10)])
         out = allocate_spawns(species, fitness, config)
-        assert [sp.spawn_count for sp in out] == spawn_oracle([5.0, 5.0], [90, 10], 100, 0.5)
-        assert [sp.spawn_count for sp in out] == [84, 16]
+        assert list(out.values()) == spawn_oracle([5.0, 5.0], [90, 10], 100, 0.5)
+        assert out == {0: 84, 1: 16}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle_and_conserves_population(self, seed):
@@ -552,7 +552,7 @@ class TestAllocateSpawns:
         config = make_config(pop_size=max(pop_size, 4))
         species, fitness = self.species_with(list(zip(means, sizes)))
         out = allocate_spawns(species, fitness, config)
-        spawns = [sp.spawn_count for sp in out]
+        spawns = list(out.values())
         assert sum(spawns) == config.pop_size
         assert min(spawns) >= 1
         assert spawns == spawn_oracle(list(means), list(sizes), config.pop_size, 0.5)
@@ -613,21 +613,20 @@ class TestCrossover:
 
 
 class TestReproduce:
-    def evaluated_state(self, config, fitness_fn=None):
+    def evaluated_state(self, config):
         state = init_state(config)
         problem = make_problem(config)
         fitness = problem.evaluate_population_tensors(
             state.population, rng=RngStream(config.seed).child(0, 1))
-        state.population.fitness[:] = fitness
-        return state
+        return state, fitness
 
     def test_population_size_conserved(self):
         for seed in range(5):
             config = make_config(seed=seed, pop_size=21 + seed)
-            state = self.evaluated_state(config)
-            species = update_stagnation(state.species, state.population.fitness, config)
-            species = allocate_spawns(species, state.population.fitness, config)
-            out = reproduce(state.population, species, state.population.fitness,
+            state, fitness = self.evaluated_state(config)
+            species = update_stagnation(state.species, fitness, config)
+            spawns = allocate_spawns(species, fitness, config)
+            out = reproduce(state.population, species, spawns, fitness,
                             config, RngStream(config.seed).child(0), state.allocator)
             assert out.size == config.pop_size
 
@@ -638,8 +637,8 @@ class TestReproduce:
         pop = PopulationTensors.from_genomes([g])
         fitness = np.array([1.0])
         species = [SpeciesState(species_key=0, representative=g,
-                                member_indices=np.array([0]), spawn_count=4)]
-        out = reproduce(pop, species, fitness, config,
+                                member_indices=np.array([0]))]
+        out = reproduce(pop, species, {0: 4}, fitness, config,
                         RngStream(0).child(0), NodeKeyAllocator(100))
         assert out.size == 4
         # slots beyond the elites are crossover(g, g) = g, then mutated
@@ -652,35 +651,34 @@ class TestReproduce:
 
     def test_zero_rates_full_elitism_copies(self):
         config = quiet_config(pop_size=6, genome_elitism=10)
-        state = self.evaluated_state(config)
-        species = update_stagnation(state.species, state.population.fitness, config)
-        species = allocate_spawns(species, state.population.fitness, config)
-        out = reproduce(state.population, species, state.population.fitness, config,
+        state, fitness = self.evaluated_state(config)
+        species = update_stagnation(state.species, fitness, config)
+        spawns = allocate_spawns(species, fitness, config)
+        out = reproduce(state.population, species, spawns, fitness, config,
                         RngStream(config.seed).child(0), state.allocator)
-        ranked = np.argsort(-state.population.fitness, kind="stable")
+        ranked = np.argsort(-fitness, kind="stable")
         for slot in range(out.size):
             assert genomes_equal(out.genome(slot), state.population.genome(int(ranked[slot])))
 
     def test_parent_population_unchanged(self):
         config = busy_config(pop_size=30, seed=2)
-        state = self.evaluated_state(config)
+        state, fitness = self.evaluated_state(config)
         pop = state.population
-        species = allocate_spawns(update_stagnation(state.species, pop.fitness, config),
-                                  pop.fitness, config)
-        before = frozen_copy(pop.nodes, pop.conns, pop.fitness, pop.species_id)
+        species = update_stagnation(state.species, fitness, config)
+        spawns = allocate_spawns(species, fitness, config)
+        before = frozen_copy(pop.nodes, pop.conns, fitness)
         for threads in (1, 2):
-            reproduce(pop, species, pop.fitness, config,
+            reproduce(pop, species, spawns, fitness, config,
                       RngStream(config.seed).child(0), state.allocator, threads=threads)
-            assert frozen_copy(pop.nodes, pop.conns, pop.fitness, pop.species_id) == before
+            assert frozen_copy(pop.nodes, pop.conns, fitness) == before
 
     def test_allocator_reserves_pop_size_keys(self):
         config = make_config(pop_size=20)
-        state = self.evaluated_state(config)
-        species = allocate_spawns(update_stagnation(state.species, state.population.fitness,
-                                                    config),
-                                  state.population.fitness, config)
+        state, fitness = self.evaluated_state(config)
+        species = update_stagnation(state.species, fitness, config)
+        spawns = allocate_spawns(species, fitness, config)
         before = state.allocator.next_key
-        reproduce(state.population, species, state.population.fitness, config,
+        reproduce(state.population, species, spawns, fitness, config,
                   RngStream(config.seed).child(0), state.allocator)
         assert state.allocator.next_key == before + config.pop_size
 
@@ -740,7 +738,7 @@ class TestEvolveStep:
         assert stats.solved
         # population returned unchanged (evaluated, not reproduced)
         assert np.array_equal(pop.nodes, state.population.nodes, equal_nan=True)
-        assert not np.isnan(pop.fitness).any()
+        assert pop is state.population
 
     def test_best_fitness_monotone_with_elitism_on_deterministic_problem(self):
         config = make_config(seed=1, pop_size=40, genome_elitism=2, generation_limit=25)
@@ -756,8 +754,10 @@ class TestEvolveStep:
     def test_species_ids_cover_population(self):
         config = make_config(seed=4, pop_size=25)
         state, _ = self.run_generations(config, 5)
-        keys = {sp.species_key for sp in state.species}
-        assert np.all(np.isin(state.population.species_id, list(keys)))
+        ids = np.full(25, -1)
+        for sp in state.species:
+            ids[sp.member_indices] = sp.species_key
+        assert np.all(np.isin(ids, [sp.species_key for sp in state.species]))
         covered = np.concatenate([sp.member_indices for sp in state.species])
         assert sorted(covered.tolist()) == list(range(25))
 
@@ -765,8 +765,8 @@ class TestEvolveStep:
         config = make_config(pop_size=20)
         state = init_state(config)
         pop = state.population
-        empty = PopulationTensors(pop.nodes[:0], pop.conns[:0], pop.species_id[:0],
-                                  pop.fitness[:0], pop.num_inputs, pop.num_outputs)
+        empty = PopulationTensors(pop.nodes[:0], pop.conns[:0], pop.num_inputs,
+                                  pop.num_outputs)
         with pytest.raises(ShapeMismatch, match="no genomes"):
             evolve_step(empty, state.species, config, RngStream(0).child(0),
                         state.allocator, make_problem(config))
@@ -779,7 +779,9 @@ class TestEvolveStep:
         for other in (s2, s3):
             assert np.array_equal(s1.population.nodes, other.population.nodes, equal_nan=True)
             assert np.array_equal(s1.population.conns, other.population.conns, equal_nan=True)
-            assert np.array_equal(s1.population.species_id, other.population.species_id)
+            for a, b in zip(s1.species, other.species, strict=True):
+                assert a.species_key == b.species_key
+                assert np.array_equal(a.member_indices, b.member_indices)
         assert [h.best_fitness for h in h1] == [h.best_fitness for h in h2]
         assert [h.best_fitness for h in h1] == [h.best_fitness for h in h3]
 
@@ -804,17 +806,16 @@ class TestEvolveStep:
         problem = make_problem(config)
         fitness = problem.evaluate_population_tensors(
             state.population, rng=RngStream(config.seed).child(0, 1))
-        state.population.fitness[:] = fitness
-        species = allocate_spawns(update_stagnation(state.species, fitness, config),
-                                  fitness, config)
-        out = reproduce(state.population, species, fitness, config,
+        species = update_stagnation(state.species, fitness, config)
+        spawns = allocate_spawns(species, fitness, config)
+        out = reproduce(state.population, species, spawns, fitness, config,
                         RngStream(config.seed).child(0), state.allocator)
         slot = 0
         for sp in sorted(species, key=lambda s: s.species_key):
             members = sp.member_indices
             ranked = members[np.lexsort((members, -fitness[members]))]
-            n_elite = min(config.genome_elitism, sp.spawn_count, ranked.size)
+            n_elite = min(config.genome_elitism, spawns[sp.species_key], ranked.size)
             for j in range(n_elite):
                 assert genomes_equal(out.genome(slot + j),
                                      state.population.genome(int(ranked[j])))
-            slot += sp.spawn_count
+            slot += spawns[sp.species_key]

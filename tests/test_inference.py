@@ -181,8 +181,7 @@ class TestWideCapacity:
                                np.sort(rng.choice(np.arange(61, 130), 40 - io, replace=False))])
         wide_nodes = np.full((narrow.size, 130, 5), np.nan)
         wide_nodes[:, rows] = narrow.nodes
-        wide = PopulationTensors(wide_nodes, narrow.conns, narrow.species_id,
-                                 narrow.fitness, config.inputs, config.outputs)
+        wide = PopulationTensors(wide_nodes, narrow.conns, config.inputs, config.outputs)
         live_rows = rows[np.nonzero(~np.isnan(narrow.nodes[:, :, NODE_KEY]))[1]]
         assert (live_rows >= 64).sum() > 50
         return narrow, wide, rows

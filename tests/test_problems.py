@@ -250,8 +250,7 @@ class TestEvaluatePopulation:
         run_chunked(0, threads, sequential, lambda lo, hi: chunks.append((lo, hi)))
         assert chunks == []
         g = init_genome(make_config(inputs=2, outputs=1), RngStream(0).child(0, 0, 0))
-        empty = PopulationTensors(g.nodes[None][:0], g.conns[None][:0],
-                                  np.zeros(0, dtype=np.int64), np.zeros(0), 2, 1)
+        empty = PopulationTensors(g.nodes[None][:0], g.conns[None][:0], 2, 1)
         fitness = XorProblem().evaluate_population_tensors(empty, threads=threads,
                                                            sequential=sequential)
         assert fitness.shape == (0,)
