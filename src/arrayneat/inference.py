@@ -9,15 +9,16 @@ the live non-input rows are taken in that order and left-packed into ``S``
 columns, where ``S`` is the largest such count in the population.  Column ``s`` holds, for every genome, the row of
 its s-th computed node and that node's incoming weights as one contiguous
 row of width ``n`` (NaN where no enabled edge exists).  A genome with fewer
-than ``S`` computed nodes writes its spare columns to a scratch row past the
-last node row.  Everything forward needs per column - node attributes, the
+than ``S`` computed nodes writes its spare columns to a scratch cell past the
+node values.  Everything forward needs per column - node attributes, the
 aggregation and activation codes present, their masks - is computed once
-here, not on every forward call.
+here, not on every forward call, and the flat buffer positions forward
+writes are computed once per stack and batch size (``flat_index``).
 
 Phase two (forward) walks the ``S`` columns.  Each multiplies its incoming
-weight rows by the node-value tensor, aggregates over the width-n axis,
-applies activation(bias + response * aggregated), and writes the result to
-its node rows.
+weight rows by the contiguous node-value tensor, aggregates over the
+width-n axis, applies activation(bias + response * aggregated), and writes
+the result to its node rows.
 
 Both phases are written against a leading population axis, and there is one
 network type: ``population_transform`` returns the ``StackedNetworks`` of a
@@ -50,14 +51,26 @@ from .search import bitset_members, bitsets, rows_of_io_keys
 @dataclass(frozen=True, eq=False)
 class _SweepColumn:
     """One column of the sweep, with the per-genome data forward reads."""
-    rows: np.ndarray      # (P,) node row written; n (scratch) if the genome has none here
-    weights: np.ndarray   # (P, 1, n) incoming weights of that node
+    weights: np.ndarray   # (P, 1, n) incoming weights of the node computed here
     edges: np.ndarray     # (P, 1, n) True where an enabled edge exists
     empty: np.ndarray     # (P, 1) True where the node has no incoming edge
     bias: np.ndarray      # (P, 1)
     response: np.ndarray  # (P, 1)
     aggregations: tuple   # (code, (P, 1) mask) per aggregation code among its nodes
     activations: tuple    # (code, (P, 1) mask) per activation code among its nodes
+
+
+@dataclass(frozen=True, eq=False)
+class _FlatIndex:
+    """Where forward reads and writes in its flat value buffer, for one batch size.
+
+    The buffer holds a (P, B, n) block of node values followed by one scratch
+    cell, so position ``(p * B + b) * n + row`` is node ``row`` of genome p at
+    batch row b.  The arrays are read-only: stacks may be shared across threads.
+    """
+    inputs: np.ndarray   # (P, B, I) input row positions
+    columns: np.ndarray  # (S, P * B) node row positions per sweep column, scratch if none
+    outputs: np.ndarray  # (P, B, O) output row positions
 
 
 def _codes_by_column(codes: np.ndarray, active: np.ndarray) -> list[tuple]:
@@ -83,7 +96,8 @@ class StackedNetworks:
     non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
     the enabled edge from node row j into that node, so one node's incoming
     weights are a contiguous row.  ``columns`` is derived from these when the
-    stack is built.
+    stack is built, and ``flat_index`` keeps forward's buffer positions per
+    batch size once computed.
     """
     nodes: np.ndarray          # (P, n, 5)
     order: np.ndarray          # (P, n) topological order of live rows, NaN padded
@@ -92,29 +106,51 @@ class StackedNetworks:
     sweep_rows: np.ndarray     # (P, S) int64 node row per column, n if none
     sweep_weights: np.ndarray  # (P, S, n) weight of enabled edge row j -> that row
     columns: tuple[_SweepColumn, ...] = field(init=False, repr=False)
+    _flat_indices: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         pop, n = self.order.shape
         active = self.sweep_rows < n
-        # a genome with no node in a column computes act(0 + 0 * 0) into the scratch row
+        # a genome with no node in a column computes act(0 + 0 * 0) into the scratch cell
         node = np.where(active[:, :, None],
                         self.nodes[np.arange(pop)[:, None], np.minimum(self.sweep_rows, n - 1)],
                         0.0)
-        edges = ~np.isnan(self.sweep_weights)
-        empty = ~edges.any(axis=-1)
         aggregations = _codes_by_column(node[:, :, NODE_AGG], active)
         activations = _codes_by_column(node[:, :, NODE_ACT], active)
+        # column-major copies, so that every (P, ...) array forward reads per column
+        # is contiguous; the weights from _compile are column-major already
+        bias = np.ascontiguousarray(node[:, :, NODE_BIAS].T)
+        response = np.ascontiguousarray(node[:, :, NODE_RESPONSE].T)
+        weights = np.ascontiguousarray(self.sweep_weights.transpose(1, 0, 2))
+        edges = ~np.isnan(weights)
+        empty = ~edges.any(axis=-1)
         self.columns = tuple(
-            _SweepColumn(rows=self.sweep_rows[:, s], weights=self.sweep_weights[:, s, None],
-                         edges=edges[:, s, None], empty=empty[:, s, None],
-                         bias=node[:, s, NODE_BIAS, None],
-                         response=node[:, s, NODE_RESPONSE, None],
+            _SweepColumn(weights=weights[s, :, None], edges=edges[s, :, None],
+                         empty=empty[s, :, None], bias=bias[s, :, None],
+                         response=response[s, :, None],
                          aggregations=aggregations[s], activations=activations[s])
             for s in range(self.sweep_rows.shape[1]))
 
     @property
     def size(self) -> int:
         return self.order.shape[0]
+
+    def flat_index(self, batch: int) -> _FlatIndex:
+        """Forward's buffer positions at ``batch`` rows per genome, computed once per size."""
+        index = self._flat_indices.get(batch)
+        if index is None:
+            pop, n = self.order.shape
+            scratch = pop * batch * n
+            cells = np.arange(0, scratch, n).reshape(pop, batch, 1)
+            rows = np.ascontiguousarray(self.sweep_rows.T)[:, :, None]
+            columns = np.where(rows < n, cells[:, :, 0] + rows, scratch)
+            index = _FlatIndex(cells + self.input_rows[:, None, :],
+                               columns.reshape(len(columns), pop * batch),
+                               cells + self.output_rows[:, None, :])
+            for array in (index.inputs, index.columns, index.outputs):
+                array.flags.writeable = False
+            self._flat_indices[batch] = index  # equal on every thread, so a race is harmless
+        return index
 
     def take(self, idx: np.ndarray) -> "StackedNetworks":
         """The networks at ``idx``; sweep columns none of them computes are dropped."""
@@ -151,7 +187,8 @@ def _compile(nodes: np.ndarray, order: np.ndarray, input_rows: np.ndarray,
     column_of_row[gm, rows[gm, sm]] = column[gm, sm]
     dst_column = column_of_row[genome, dst]
     kept = dst_column < width
-    sweep_weights = np.full((pop, width, n), np.nan)
+    # (P, S, n) indexing over column-major memory, so each column's weights are contiguous
+    sweep_weights = np.full((width, pop, n), np.nan).transpose(1, 0, 2)
     sweep_weights[genome[kept], dst_column[kept], src[kept]] = weight[kept]
     return StackedNetworks(nodes, order, input_rows, output_rows, sweep_rows, sweep_weights)
 
@@ -252,22 +289,24 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
                    inputs: np.ndarray) -> np.ndarray:
     """Batched node-value sweep: inputs (P, B, I) -> outputs (P, B, O).
 
-    Node values live in a (P, B, n + 1) tensor initialized to NaN, where n
-    is the stack's node width; the last row is the scratch row.  Each sweep
-    column multiplies its incoming weight rows by the node values, aggregates
-    with each node's aggregation function (empty aggregation is 0), and
-    writes activation(bias + response * aggregated) to its node rows.
+    Node values live in a flat buffer initialized to NaN: a contiguous
+    (P, B, n) block, where n is the stack's node width, then the scratch cell
+    (see ``StackedNetworks.flat_index``).  Each sweep column multiplies its
+    incoming weight rows by the node values, aggregates with each node's
+    aggregation function (empty aggregation is 0), and writes
+    activation(bias + response * aggregated) to its node rows.
     """
     pop, n = stacked.order.shape
     batch = inputs.shape[1]
-    genomes = np.arange(pop)
+    index = stacked.flat_index(batch)
 
-    values = np.full((pop, batch, n + 1), np.nan)
-    values[genomes[:, None], :, stacked.input_rows] = np.swapaxes(inputs, 1, 2)
-    sources = values[:, :, :n]
+    flat = np.empty(pop * batch * n + 1)
+    flat.fill(np.nan)
+    flat[index.inputs] = inputs
+    sources = flat[:-1].reshape(pop, batch, n)
 
     weighted = np.empty((pop, batch, n))
-    for column in stacked.columns:
+    for column, rows in zip(stacked.columns, index.columns):
         np.multiply(column.weights, sources, out=weighted)
 
         agg_codes = column.aggregations
@@ -275,7 +314,7 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
             # pure-sum column: weighted is NaN exactly where no edge exists, so
             # zeroing NaNs in place (as nansum does in a copy) and summing
             # equals the registry's masked sum bit for bit
-            np.copyto(weighted, 0.0, where=np.isnan(weighted))
+            weighted[np.isnan(weighted)] = 0.0
             aggregated = np.add.reduce(weighted, axis=-1)
         else:
             if len(agg_codes) == 1:
@@ -298,9 +337,9 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
             for code, mask in act_codes:
                 out = np.where(mask, registry.activation(code)(pre), out)
 
-        values[genomes, :, column.rows] = out
+        flat[rows] = out.reshape(-1)
 
-    return np.swapaxes(values[genomes[:, None], :, stacked.output_rows], 1, 2).copy()
+    return flat[index.outputs]
 
 
 def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:

@@ -105,34 +105,33 @@ class CartPoleState:
                 or self.steps >= MAX_STEPS)
 
 
-def _cartpole_dynamics(x, x_dot, theta, theta_dot, force):
-    """One Euler step of the classic dynamics; works on scalars and arrays.
-
-    Positions integrate the old velocities, then velocities integrate the
-    accelerations.
-    """
+def _cartpole_accelerations(theta, theta_dot, force):
+    """Cart and pole accelerations of the classic dynamics; works on scalars and arrays."""
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
     tmp = (force + POLEMASS_LENGTH * theta_dot ** 2 * sin_t) / TOTAL_MASS
     theta_acc = (GRAVITY * sin_t - cos_t * tmp) / (
         HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / TOTAL_MASS))
     x_acc = tmp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-    return (x + TIME_STEP * x_dot,
-            x_dot + TIME_STEP * x_acc,
-            theta + TIME_STEP * theta_dot,
-            theta_dot + TIME_STEP * theta_acc)
+    return x_acc, theta_acc
 
 
 def cartpole_step(state: CartPoleState, force_direction: int) -> CartPoleState:
-    """Advance a non-terminal state by one step with force -1 or +1."""
+    """Advance a non-terminal state by one step with force -1 or +1.
+
+    One Euler step: positions integrate the old velocities, then velocities
+    integrate the accelerations.
+    """
     if force_direction not in (-1, 1, -1.0, 1.0):
         raise ValueError(f"force_direction must be -1 or +1, got {force_direction}")
     if state.is_terminal:
         raise TerminalState("cart-pole state is already terminal")
-    x, x_dot, theta, theta_dot = _cartpole_dynamics(
-        state.x, state.x_dot, state.theta, state.theta_dot,
-        float(force_direction) * FORCE_MAG)
-    return CartPoleState(float(x), float(x_dot), float(theta), float(theta_dot),
+    x_acc, theta_acc = _cartpole_accelerations(state.theta, state.theta_dot,
+                                               float(force_direction) * FORCE_MAG)
+    return CartPoleState(float(state.x + TIME_STEP * state.x_dot),
+                         float(state.x_dot + TIME_STEP * x_acc),
+                         float(state.theta + TIME_STEP * state.theta_dot),
+                         float(state.theta_dot + TIME_STEP * theta_acc),
                          state.steps + 1)
 
 
@@ -160,8 +159,8 @@ def _cartpole_lockstep(stacked: StackedNetworks, streams: RngStream) -> np.ndarr
     number of running episodes.
     """
     pop = stacked.size
-    # rows x, x_dot, theta, theta_dot; one column per batch row
-    state = (streams.uniforms(4).reshape(pop, 4) * 0.1 - 0.05).T
+    # one row per batch row: x, x_dot, theta, theta_dot
+    state = streams.uniforms(4).reshape(pop, 4) * 0.1 - 0.05
     fitness = np.zeros(pop)
     running = np.arange(pop)  # population index of each batch row
     alive = np.ones(pop, dtype=bool)
@@ -171,13 +170,18 @@ def _cartpole_lockstep(stacked: StackedNetworks, streams: RngStream) -> np.ndarr
             fitness[running[~alive]] = steps[~alive]
             keep = np.nonzero(alive)[0]
             stacked = stacked.take(keep)
-            state = state[:, keep]
+            state = state[keep]
             running, alive, steps = running[keep], alive[keep], steps[keep]
-        outputs = forward_arrays(stacked, DEFAULT_REGISTRY, state.T[:, None, :])[:, 0, 0]
+        outputs = forward_arrays(stacked, DEFAULT_REGISTRY, state[:, None, :])[:, 0, 0]
         force = np.where(outputs > 0, FORCE_MAG, -FORCE_MAG)
-        state = np.where(alive, _cartpole_dynamics(*state, force), state)
-        steps = steps + alive
-        alive &= ~((np.abs(state[0]) > X_LIMIT) | (np.abs(state[2]) > THETA_LIMIT))
+        # the Euler step of cartpole_step, in place: rates are the time derivatives
+        rates = np.empty_like(state)
+        rates[:, 0], rates[:, 2] = state[:, 1], state[:, 3]
+        rates[:, 1], rates[:, 3] = _cartpole_accelerations(state[:, 2], state[:, 3], force)
+        rates *= TIME_STEP
+        np.add(state, rates, out=state, where=alive[:, None])
+        steps += alive
+        alive &= ~((np.abs(state[:, 0]) > X_LIMIT) | (np.abs(state[:, 2]) > THETA_LIMIT))
         if not alive.any():
             break
     fitness[running] = steps

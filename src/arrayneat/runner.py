@@ -110,12 +110,36 @@ def _with_keys(entry, keys: tuple[str, ...], what: str) -> dict:
     return entry
 
 
+def _with_shape(array, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``array`` if it is a float64 array of ``shape``; else IntegrityError."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.shape == shape):
+        found = (f"{array.dtype} array of shape {array.shape}"
+                 if isinstance(array, np.ndarray) else type(array).__name__)
+        raise IntegrityError(f"{what} must be a float64 array of shape {shape}, got {found}")
+    return array
+
+
+def _members(members, pop_size: int, what: str) -> np.ndarray:
+    """``members`` as population indices, each in [0, pop_size); else IntegrityError."""
+    members = np.asarray(members)
+    if members.ndim != 1 or not np.issubdtype(members.dtype, np.integer):
+        raise IntegrityError(f"{what} must be a 1-D integer array of population indices")
+    outside = members[(members < 0) | (members >= pop_size)]
+    if outside.size:
+        raise IntegrityError(f"{what} holds indices {outside.tolist()} outside the "
+                             f"population of {pop_size}")
+    return members
+
+
 def load_checkpoint(path) -> EvolutionState:
     """Restore a saved run; IntegrityError if the file is not a checkpoint of this format.
 
-    Bytes that do not unpickle and payloads that lack a key ``save_checkpoint``
-    writes (a checkpoint of an earlier format, say) are rejected, not converted.
-    Keys it does not read are ignored.
+    Bytes that do not unpickle, payloads that lack a key ``save_checkpoint``
+    writes (a checkpoint of an earlier format, say), node and connection
+    blocks whose shape differs from the config's, and species members outside
+    the population are rejected, not converted.  Keys it does not read are
+    ignored.
     """
     with open(path, "rb") as fh:
         try:
@@ -125,22 +149,29 @@ def load_checkpoint(path) -> EvolutionState:
         except Exception as err:
             raise IntegrityError(
                 f"checkpoint {path} is unreadable: {type(err).__name__}: {err}") from None
-    payload = _with_keys(payload, _CHECKPOINT_KEYS, f"checkpoint {path}")
-    entries = [_with_keys(entry, _SPECIES_KEYS, f"checkpoint {path} species {i}")
+    where = f"checkpoint {path}"
+    payload = _with_keys(payload, _CHECKPOINT_KEYS, where)
+    entries = [_with_keys(entry, _SPECIES_KEYS, f"{where} species {i}")
                for i, entry in enumerate(payload["species"])]
     config = parse_config_text(payload["config"])
-    population = PopulationTensors(payload["nodes"], payload["conns"],
-                                   config.inputs, config.outputs)
+    nodes_shape, conns_shape = (config.max_nodes, 5), (config.max_conns, 4)
+    population = PopulationTensors(
+        _with_shape(payload["nodes"], (config.pop_size, *nodes_shape), f"{where} nodes"),
+        _with_shape(payload["conns"], (config.pop_size, *conns_shape), f"{where} conns"),
+        config.inputs, config.outputs)
     species = [
         SpeciesState(
             species_key=entry["species_key"],
-            representative=GenomeTensors(entry["rep_nodes"], entry["rep_conns"],
-                                         config.inputs, config.outputs),
-            member_indices=entry["member_indices"],
+            representative=GenomeTensors(
+                _with_shape(entry["rep_nodes"], nodes_shape, f"{where} species {i} rep_nodes"),
+                _with_shape(entry["rep_conns"], conns_shape, f"{where} species {i} rep_conns"),
+                config.inputs, config.outputs),
+            member_indices=_members(entry["member_indices"], config.pop_size,
+                                    f"{where} species {i} member_indices"),
             best_fitness=float(entry["best_fitness"]),
             stagnation_counter=entry["stagnation_counter"],
         )
-        for entry in entries
+        for i, entry in enumerate(entries)
     ]
     return EvolutionState(config=config, population=population, species=species,
                           allocator=NodeKeyAllocator(payload["next_key"]),
@@ -169,6 +200,10 @@ def run_experiment(config: NeatConfig | None, out_dir, threads: int = 1,
     if resume_path is not None:
         state = load_checkpoint(resume_path)
         config = state.config
+        if state.generation >= config.generation_limit:
+            raise ConfigError(f"checkpoint {resume_path} is at generation {state.generation}, "
+                              f"already at its generation_limit of "
+                              f"{config.generation_limit}; there is nothing to resume")
     elif config is not None:
         state = init_state(config)
     else:

@@ -9,7 +9,7 @@ from arrayneat import (ConfigError, RngStream, init_genome,
                        parse_config_text, serialize_genome)
 from arrayneat.cli import main
 from arrayneat.runner import (EXIT_GENERATION_LIMIT, EXIT_SOLVED, load_checkpoint,
-                              run_experiment)
+                              run_experiment, save_checkpoint)
 
 from conftest import make_config
 
@@ -203,6 +203,21 @@ def with_earlier_keys(path) -> None:
     path.write_bytes(pickle.dumps(data))
 
 
+def edited(change):
+    """Damage that unpickles a checkpoint, applies ``change`` to its payload and re-pickles it."""
+    def damage(payload: bytes) -> bytes:
+        data = pickle.loads(payload)
+        change(data)
+        return pickle.dumps(data)
+    return damage
+
+
+def set_members(members):
+    def change(data):
+        data["species"][0]["member_indices"] = np.array(members, dtype=np.int64)
+    return change
+
+
 class TestResume:
     def test_resume_bitwise_matches_uninterrupted(self, tmp_path):
         self.check_resume(tmp_path)
@@ -237,7 +252,16 @@ class TestResume:
         (lambda payload: payload[:len(payload) // 2], "UnpicklingError"),
         (lambda payload: b"not a checkpoint", "UnpicklingError"),
         (earlier_format, "'best_fitness'"),
-    ], ids=["truncated", "garbage", "earlier-format"])
+        (edited(set_members([0, 999])), "member_indices holds indices [999] outside"),
+        (edited(set_members([-1, 0])), "member_indices holds indices [-1] outside"),
+        (edited(lambda data: data.update(nodes=data["nodes"][:5])), "nodes must be"),
+        (edited(lambda data: data.update(nodes=data["nodes"][:, :3])), "nodes must be"),
+        (edited(lambda data: data.update(conns=data["conns"][..., :3])), "conns must be"),
+        (edited(lambda data: data["species"][0].update(rep_nodes=np.zeros((2, 5)))),
+         "rep_nodes must be"),
+    ], ids=["truncated", "garbage", "earlier-format", "member-past-population",
+            "member-negative", "nodes-of-fewer-genomes", "nodes-narrowed", "conns-narrowed",
+            "representative-narrowed"])
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, damage, named):
         run_experiment(make_config(pop_size=10, generation_limit=2,
                                    fitness_target=float("inf")), tmp_path / "run")
@@ -247,6 +271,19 @@ class TestResume:
         assert main(["run", "--resume", str(ckpt), "--out", str(tmp_path / "resumed")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: checkpoint") and named in err[0]
+
+    def test_resume_at_generation_limit_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        run_experiment(make_config(pop_size=10, generation_limit=3,
+                                   fitness_target=float("inf")), tmp_path / "run")
+        ckpt = load_checkpoint(tmp_path / "run/checkpoint.pkl")
+        ckpt.config = ckpt.config.with_overrides(generation_limit=2)
+        save_checkpoint(tmp_path / "run/checkpoint.pkl", ckpt)
+        capsys.readouterr()
+        assert main(["run", "--resume", str(tmp_path / "run/checkpoint.pkl"),
+                     "--out", str(tmp_path / "resumed")]) == 1
+        err = capsys.readouterr().err
+        assert "at generation 3" in err and "generation_limit of 2" in err
+        assert not (tmp_path / "resumed").exists()
 
 
 class TestBench:

@@ -1,5 +1,8 @@
 """Transform and forward: topology ordering, the value recurrence, batching."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,55 @@ class TestSweep:
         full = forward_arrays(stacked, DEFAULT_REGISTRY, inputs)
         subset = forward_arrays(stacked.take(idx), DEFAULT_REGISTRY, inputs[idx])
         assert np.array_equal(subset.view(np.uint64), full[idx].view(np.uint64))
+
+    def test_reused_stack_equals_a_fresh_stack(self, corpus):
+        """Forward caches its buffer positions on the stack, per batch size; calls
+        at two batch sizes, from several threads at once and on a ``take``
+        subset give the bits of the same call on a stack built afresh."""
+        stacked, inputs = corpus
+        idx = np.array([31, 4, 22, 9, 0, 13, 38])
+
+        def fresh():
+            return inference.StackedNetworks(stacked.nodes, stacked.order, stacked.input_rows,
+                                             stacked.output_rows, stacked.sweep_rows,
+                                             stacked.sweep_weights)
+
+        cases = [(None, inputs[:, :1]), (None, inputs), (idx, inputs[idx, :1]),
+                 (idx, inputs[idx])]
+        expected = [forward_arrays(fresh() if rows is None else fresh().take(rows),
+                                   DEFAULT_REGISTRY, x).view(np.uint64) for rows, x in cases]
+        shared = fresh()
+        start = threading.Barrier(4)
+        failures = []
+
+        def work():
+            try:
+                start.wait(timeout=10)
+                subset = shared.take(idx)
+                for _ in range(20):
+                    for (rows, x), want in zip(cases, expected):
+                        got = forward_arrays(shared if rows is None else subset,
+                                             DEFAULT_REGISTRY, x)
+                        if not np.array_equal(got.view(np.uint64), want):
+                            failures.append((rows is None, x.shape))
+            except Exception as err:  # a thread's error must fail the test, not vanish
+                failures.append(repr(err))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        index = shared.flat_index(6)
+        with pytest.raises(ValueError):
+            index.columns[0, 0] = 0
 
     def test_take_drops_columns_no_genome_uses(self, corpus):
         stacked, _ = corpus
