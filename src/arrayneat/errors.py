@@ -64,7 +64,7 @@ class InvalidFitness(ArrayNeatError):
 
 
 class InvalidInput(ArrayNeatError):
-    """Network input has wrong length or contains NaN."""
+    """Network input has wrong length or contains NaN or infinity."""
 
 
 class IntegrityError(ArrayNeatError):

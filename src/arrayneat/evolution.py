@@ -114,19 +114,18 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
     each attribute of a gene that is also live in the less fit parent is
     taken from either parent with probability one half.  The less fit
     parents' blocks may be cut to any prefix that holds every live row of
-    both blocks.  Matching runs on the prefix up to the last row live in
-    either block.  Node genes are matched by key, then connection genes by
-    their (in_key, out_key) pair code.  Coin draws cover a fixed
-    (max_nodes x 4) + (max_conns x 2) grid, node coins first, but are only
-    computed at the homologous cells that consume them.
+    both blocks, and matching runs on that prefix of both.  Node genes are
+    matched by key, then connection genes by their (in_key, out_key) pair
+    code.  Coin draws cover a fixed (max_nodes x 4) + (max_conns x 2) grid,
+    node coins first, but are only computed at the homologous cells that
+    consume them.
     """
     n, c = out_nodes.shape[1], out_conns.shape[1]
-    for out, less, live_col, identity, first, attrs, capacity in (
-            (out_nodes, less_nodes, NODE_KEY, lambda nodes: nodes[:, :, NODE_KEY],
-             NODE_BIAS, NODE_ATTRS, n),
-            (out_conns, less_conns, CONN_IN, pair_codes, CONN_ENABLED, CONN_ATTRS, c)):
-        width = max(occupied(out[:, :, live_col]), occupied(less[:, :, live_col]))
-        out, less = out[:, :width], less[:, :width]
+    for out, less, identity, first, attrs, capacity in (
+            (out_nodes, less_nodes, lambda nodes: nodes[:, :, NODE_KEY], NODE_BIAS,
+             NODE_ATTRS, n),
+            (out_conns, less_conns, pair_codes, CONN_ENABLED, CONN_ATTRS, c)):
+        out = out[:, :less.shape[1]]
         src, has = match_aligned(identity(out), identity(less))
         pm, rm = np.nonzero(has)
         cols = (rm[:, None] * attrs + np.arange(attrs)).ravel()

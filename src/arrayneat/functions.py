@@ -5,8 +5,9 @@ codes to vectorized callables.  Aggregations operate on a full-width value
 array plus a boolean mask of real incoming connections: masked positions are
 replaced by the aggregation's neutral element before reducing along the last
 axis, which keeps the floating-point reduction order independent of how many
-genomes share the array.  Aggregation over an empty set is defined as 0 and
-handled by the caller via the mask count.
+genomes share the array.  Each aggregation defines its whole function,
+including the empty set, which aggregates to 0 wherever the mask holds no
+connection; callers apply table entries without special cases.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ ACTIVATIONS: dict[int, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
     3: ("relu", lambda x: np.maximum(x, 0.0)),
 }
 
-# aggregation codes over (values, mask) pairs, reducing the last axis
+# aggregation codes over (values, mask) pairs, reducing the last axis; 0 over no connection
 AGGREGATIONS: dict[int, tuple[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]] = {
     0: ("sum", lambda v, m: np.where(m, v, 0.0).sum(axis=-1)),
-    1: ("product", lambda v, m: np.where(m, v, 1.0).prod(axis=-1)),
-    2: ("max", lambda v, m: np.where(m, v, -np.inf).max(axis=-1)),
+    1: ("product", lambda v, m: np.where(m.any(axis=-1), np.where(m, v, 1.0).prod(axis=-1), 0.0)),
+    2: ("max", lambda v, m: np.where(m.any(axis=-1), np.where(m, v, -np.inf).max(axis=-1), 0.0)),
     3: ("mean", lambda v, m: np.where(m, v, 0.0).sum(axis=-1) / np.maximum(m.sum(axis=-1), 1)),
 }
 

@@ -13,7 +13,7 @@ than ``S`` computed nodes writes its spare columns to a scratch cell past the
 node values.  Everything forward needs per column - node attributes, the
 aggregation and activation codes present, their masks - is computed once
 here, not on every forward call, and the flat buffer positions forward
-writes are computed once per stack and batch size (``flat_index``).
+writes are kept on the stack for the last batch size (``flat_index``).
 
 Phase two (forward) walks the ``S`` columns.  Each multiplies its incoming
 weight rows by the contiguous node-value tensor, aggregates over the
@@ -53,7 +53,6 @@ class _SweepColumn:
     """One column of the sweep, with the per-genome data forward reads."""
     weights: np.ndarray   # (P, 1, n) incoming weights of the node computed here
     edges: np.ndarray     # (P, 1, n) True where an enabled edge exists
-    empty: np.ndarray     # (P, 1) True where the node has no incoming edge
     bias: np.ndarray      # (P, 1)
     response: np.ndarray  # (P, 1)
     aggregations: tuple   # (code, (P, 1) mask) per aggregation code among its nodes
@@ -96,8 +95,8 @@ class StackedNetworks:
     non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
     the enabled edge from node row j into that node, so one node's incoming
     weights are a contiguous row.  ``columns`` is derived from these when the
-    stack is built, and ``flat_index`` keeps forward's buffer positions per
-    batch size once computed.
+    stack is built, and ``flat_index`` keeps forward's buffer positions for
+    the last batch size it was asked for.
     """
     nodes: np.ndarray          # (P, n, 5)
     order: np.ndarray          # (P, n) topological order of live rows, NaN padded
@@ -106,7 +105,7 @@ class StackedNetworks:
     sweep_rows: np.ndarray     # (P, S) int64 node row per column, n if none
     sweep_weights: np.ndarray  # (P, S, n) weight of enabled edge row j -> that row
     columns: tuple[_SweepColumn, ...] = field(init=False, repr=False)
-    _flat_indices: dict = field(init=False, repr=False, default_factory=dict)
+    _flat_index: tuple = field(init=False, repr=False, default=(None, None))  # (batch, index)
 
     def __post_init__(self):
         pop, n = self.order.shape
@@ -123,11 +122,9 @@ class StackedNetworks:
         response = np.ascontiguousarray(node[:, :, NODE_RESPONSE].T)
         weights = np.ascontiguousarray(self.sweep_weights.transpose(1, 0, 2))
         edges = ~np.isnan(weights)
-        empty = ~edges.any(axis=-1)
         self.columns = tuple(
             _SweepColumn(weights=weights[s, :, None], edges=edges[s, :, None],
-                         empty=empty[s, :, None], bias=bias[s, :, None],
-                         response=response[s, :, None],
+                         bias=bias[s, :, None], response=response[s, :, None],
                          aggregations=aggregations[s], activations=activations[s])
             for s in range(self.sweep_rows.shape[1]))
 
@@ -136,9 +133,9 @@ class StackedNetworks:
         return self.order.shape[0]
 
     def flat_index(self, batch: int) -> _FlatIndex:
-        """Forward's buffer positions at ``batch`` rows per genome, computed once per size."""
-        index = self._flat_indices.get(batch)
-        if index is None:
+        """Forward's buffer positions at ``batch`` rows per genome; the last size's are kept."""
+        cached, index = self._flat_index
+        if cached != batch:
             pop, n = self.order.shape
             scratch = pop * batch * n
             cells = np.arange(0, scratch, n).reshape(pop, batch, 1)
@@ -149,7 +146,8 @@ class StackedNetworks:
                                cells + self.output_rows[:, None, :])
             for array in (index.inputs, index.columns, index.outputs):
                 array.flags.writeable = False
-            self._flat_indices[batch] = index  # equal on every thread, so a race is harmless
+            # one assignment, and equal on every thread: a race only recomputes the index
+            self._flat_index = (batch, index)
         return index
 
     def take(self, idx: np.ndarray) -> "StackedNetworks":
@@ -293,8 +291,10 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
     (P, B, n) block, where n is the stack's node width, then the scratch cell
     (see ``StackedNetworks.flat_index``).  Each sweep column multiplies its
     incoming weight rows by the node values, aggregates with each node's
-    aggregation function (empty aggregation is 0), and writes
-    activation(bias + response * aggregated) to its node rows.
+    aggregation function, and writes activation(bias + response * aggregated)
+    to its node rows.  A column applies each function code present in it to
+    the whole column and keeps, per genome, its own code's value; the value of
+    a genome without a node in the column goes to the scratch cell.
     """
     pop, n = stacked.order.shape
     batch = inputs.shape[1]
@@ -317,25 +317,17 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
             weighted[np.isnan(weighted)] = 0.0
             aggregated = np.add.reduce(weighted, axis=-1)
         else:
-            if len(agg_codes) == 1:
-                aggregated = registry.aggregation(agg_codes[0][0])(weighted, column.edges)
-            else:
-                aggregated = np.zeros((pop, batch))
-                for code, mask in agg_codes:
-                    result = registry.aggregation(code)(weighted, column.edges)
-                    aggregated = np.where(mask, result, aggregated)
-            # aggregation over the empty set is 0 regardless of the function
-            aggregated = np.where(column.empty, 0.0, aggregated)
+            aggregated = None
+            for code, mask in agg_codes:
+                value = registry.aggregation(code)(weighted, column.edges)
+                aggregated = value if aggregated is None else np.where(mask, value, aggregated)
 
         pre = column.bias + column.response * aggregated
 
-        act_codes = column.activations
-        if len(act_codes) == 1:
-            out = registry.activation(act_codes[0][0])(pre)
-        else:
-            out = np.zeros((pop, batch))
-            for code, mask in act_codes:
-                out = np.where(mask, registry.activation(code)(pre), out)
+        out = None
+        for code, mask in column.activations:
+            value = registry.activation(code)(pre)
+            out = value if out is None else np.where(mask, value, out)
 
         flat[rows] = out.reshape(-1)
 
@@ -345,8 +337,8 @@ def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
 def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:
     if arr.shape[-1] != num_inputs:
         raise InvalidInput(f"expected input length {num_inputs}, got {arr.shape[-1]}")
-    if np.isnan(arr).any():
-        raise InvalidInput("input contains NaN")
+    if not np.isfinite(arr).all():
+        raise InvalidInput("input contains NaN or infinity")
 
 
 def _check_single(stacked: StackedNetworks) -> None:

@@ -26,10 +26,11 @@ from .config import NeatConfig, dump_config, parse_config_text
 from .errors import ConfigError, IntegrityError
 from .evolution import (STAGE_INIT, GenerationStats, NodeKeyAllocator,
                         SpeciesState, evolve_step, speciate)
-from .genome import (GenomeTensors, PopulationTensors, init_arrays,
+from .genome import (NODE_KEY, GenomeTensors, PopulationTensors, init_arrays,
                      serialize_genome)
 from .problems import make_problem
 from .rng import RngStream
+from .search import PAIR_SHIFT
 
 STATS_HEADER = ("generation,best_fitness,mean_fitness,species_count,"
                 "mean_live_nodes,mean_live_conns")
@@ -129,17 +130,44 @@ def _members(members, pop_size: int, what: str) -> np.ndarray:
     if outside.size:
         raise IntegrityError(f"{what} holds indices {outside.tolist()} outside the "
                              f"population of {pop_size}")
+    if members.size == 0:
+        raise IntegrityError(f"{what} is empty; every species has a member")
     return members
+
+
+def _integer(value, what: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high]; else IntegrityError.  Bools are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise IntegrityError(f"{what} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _best_fitness(value, what: str) -> float:
+    """``value`` as a float if it is a finite number or -inf; else IntegrityError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or math.isnan(value) or value == math.inf):
+        raise IntegrityError(f"{what} must be a finite number or -inf, got {value!r}")
+    return float(value)
+
+
+def _highest_key(nodes: np.ndarray) -> float:
+    keys = nodes[..., NODE_KEY]
+    return float(np.max(keys, initial=-1.0, where=~np.isnan(keys)))
 
 
 def load_checkpoint(path) -> EvolutionState:
     """Restore a saved run; IntegrityError if the file is not a checkpoint of this format.
 
     Bytes that do not unpickle, payloads that lack a key ``save_checkpoint``
-    writes (a checkpoint of an earlier format, say), node and connection
-    blocks whose shape differs from the config's, and species members outside
-    the population are rejected, not converted.  Keys it does not read are
-    ignored.
+    writes (a checkpoint of an earlier format, say), and values a run could
+    not have written are rejected, not converted: node and connection blocks
+    whose shape differs from the config's, a negative or fractional
+    generation, stats rows that do not number one per generation, a next
+    node key at or below a live key, species keys that repeat, and species
+    whose members do not partition the population.  Keys it does not read
+    are ignored.
     """
     with open(path, "rb") as fh:
         try:
@@ -151,32 +179,58 @@ def load_checkpoint(path) -> EvolutionState:
                 f"checkpoint {path} is unreadable: {type(err).__name__}: {err}") from None
     where = f"checkpoint {path}"
     payload = _with_keys(payload, _CHECKPOINT_KEYS, where)
+    if not isinstance(payload["species"], list) or not payload["species"]:
+        raise IntegrityError(f"{where} species must be a non-empty list")
     entries = [_with_keys(entry, _SPECIES_KEYS, f"{where} species {i}")
                for i, entry in enumerate(payload["species"])]
     config = parse_config_text(payload["config"])
+    generation = _integer(payload["generation"], f"{where} generation", 0)
+    stats_rows = payload["stats_rows"]
+    if not (isinstance(stats_rows, list) and len(stats_rows) == generation
+            and all(isinstance(row, str) for row in stats_rows)):
+        raise IntegrityError(f"{where} stats_rows must be a list of {generation} strings, "
+                             f"one per generation")
     nodes_shape, conns_shape = (config.max_nodes, 5), (config.max_conns, 4)
     population = PopulationTensors(
         _with_shape(payload["nodes"], (config.pop_size, *nodes_shape), f"{where} nodes"),
         _with_shape(payload["conns"], (config.pop_size, *conns_shape), f"{where} conns"),
         config.inputs, config.outputs)
-    species = [
-        SpeciesState(
-            species_key=entry["species_key"],
+    species = []
+    for i, entry in enumerate(entries):
+        what = f"{where} species {i}"
+        species.append(SpeciesState(
+            species_key=_integer(entry["species_key"], f"{what} species_key", 0),
             representative=GenomeTensors(
-                _with_shape(entry["rep_nodes"], nodes_shape, f"{where} species {i} rep_nodes"),
-                _with_shape(entry["rep_conns"], conns_shape, f"{where} species {i} rep_conns"),
+                _with_shape(entry["rep_nodes"], nodes_shape, f"{what} rep_nodes"),
+                _with_shape(entry["rep_conns"], conns_shape, f"{what} rep_conns"),
                 config.inputs, config.outputs),
             member_indices=_members(entry["member_indices"], config.pop_size,
-                                    f"{where} species {i} member_indices"),
-            best_fitness=float(entry["best_fitness"]),
-            stagnation_counter=entry["stagnation_counter"],
-        )
-        for i, entry in enumerate(entries)
-    ]
+                                    f"{what} member_indices"),
+            best_fitness=_best_fitness(entry["best_fitness"], f"{what} best_fitness"),
+            stagnation_counter=_integer(entry["stagnation_counter"],
+                                        f"{what} stagnation_counter", 0),
+        ))
+    keys = [sp.species_key for sp in species]
+    if len(set(keys)) != len(keys):
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise IntegrityError(f"{where} species_key values repeat: {repeated}")
+    counts = np.bincount(np.concatenate([sp.member_indices for sp in species]),
+                         minlength=config.pop_size)
+    if (counts != 1).any():
+        raise IntegrityError(
+            f"{where} species member_indices must partition the population of "
+            f"{config.pop_size}: genomes {np.nonzero(counts == 0)[0].tolist()} are in no "
+            f"species, genomes {np.nonzero(counts > 1)[0].tolist()} in more than one")
+    next_key = _integer(payload["next_key"], f"{where} next_key",
+                        config.inputs + config.outputs, int(PAIR_SHIFT))
+    highest = max(_highest_key(population.nodes),
+                  *(_highest_key(sp.representative.nodes) for sp in species))
+    if next_key <= highest:
+        raise IntegrityError(f"{where} next_key {next_key} must exceed every live node key, "
+                             f"up to {highest:.0f}")
     return EvolutionState(config=config, population=population, species=species,
-                          allocator=NodeKeyAllocator(payload["next_key"]),
-                          generation=payload["generation"],
-                          stats_rows=list(payload["stats_rows"]))
+                          allocator=NodeKeyAllocator(next_key), generation=generation,
+                          stats_rows=list(stats_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from arrayneat import (ConfigError, RngStream, init_genome,
                        parse_config_text, serialize_genome)
 from arrayneat.cli import main
+from arrayneat.genome import NODE_KEY
 from arrayneat.runner import (EXIT_GENERATION_LIMIT, EXIT_SOLVED, load_checkpoint,
                               run_experiment, save_checkpoint)
 
@@ -218,6 +219,33 @@ def set_members(members):
     return change
 
 
+def set_value(**values):
+    def change(data):
+        data.update(values)
+    return change
+
+
+def set_species(**values):
+    def change(data):
+        data["species"][0].update(values)
+    return change
+
+
+def add_species(**values):
+    """A copy of the first species under other ``values``; it shares that species' members."""
+    def change(data):
+        data["species"].append(dict(data["species"][0], **values))
+    return change
+
+
+def plant_key(block):
+    """A live node key equal to ``next_key`` in genome 0's last row, or the first representative's."""
+    def change(data):
+        nodes = data["nodes"][0] if block == "nodes" else data["species"][0][block]
+        nodes[-1, NODE_KEY] = data["next_key"]
+    return change
+
+
 class TestResume:
     def test_resume_bitwise_matches_uninterrupted(self, tmp_path):
         self.check_resume(tmp_path)
@@ -259,9 +287,41 @@ class TestResume:
         (edited(lambda data: data.update(conns=data["conns"][..., :3])), "conns must be"),
         (edited(lambda data: data["species"][0].update(rep_nodes=np.zeros((2, 5)))),
          "rep_nodes must be"),
+        (edited(set_value(generation="1")), "generation must be an integer >= 0"),
+        (edited(set_value(generation=-3)), "generation must be an integer >= 0"),
+        (edited(set_value(generation=1.5)), "generation must be an integer >= 0"),
+        (edited(set_value(generation=True)), "generation must be an integer >= 0"),
+        (edited(set_value(stats_rows=None)), "stats_rows must be a list of 2 strings"),
+        (edited(lambda data: data["stats_rows"].pop()), "stats_rows must be a list of 2"),
+        (edited(set_value(next_key=0)), "next_key must be an integer in [3, 67108864]"),
+        (edited(set_value(next_key=7.5)), "next_key must be an integer in [3, 67108864]"),
+        (edited(set_value(next_key=2 ** 26 + 1)), "next_key must be an integer in [3, "),
+        (edited(plant_key("nodes")), "next_key"),
+        (edited(plant_key("rep_nodes")), "next_key"),
+        (edited(set_species(species_key="a")), "species_key must be an integer >= 0"),
+        (edited(set_species(species_key=-1)), "species_key must be an integer >= 0"),
+        (edited(add_species(species_key=0)), "species_key values repeat: [0]"),
+        (edited(set_species(stagnation_counter="x")), "stagnation_counter must be an integer"),
+        (edited(set_species(stagnation_counter=-1)), "stagnation_counter must be an integer"),
+        (edited(set_species(best_fitness="abc")), "best_fitness must be a finite number"),
+        (edited(set_species(best_fitness=float("nan"))), "best_fitness must be a finite"),
+        (edited(set_species(best_fitness=float("inf"))), "best_fitness must be a finite"),
+        (edited(set_value(species=[])), "species must be a non-empty list"),
+        (edited(set_members([])), "member_indices is empty"),
+        (edited(add_species(species_key=99)), "member_indices must partition"),
+        (edited(lambda data: data["species"][0].update(
+            member_indices=data["species"][0]["member_indices"][1:])),
+         "member_indices must partition"),
     ], ids=["truncated", "garbage", "earlier-format", "member-past-population",
             "member-negative", "nodes-of-fewer-genomes", "nodes-narrowed", "conns-narrowed",
-            "representative-narrowed"])
+            "representative-narrowed", "generation-string", "generation-negative",
+            "generation-fraction", "generation-bool", "stats-rows-none", "stats-rows-short",
+            "next-key-below-io", "next-key-fraction", "next-key-past-2**26",
+            "next-key-reissued-in-nodes", "next-key-reissued-in-representative",
+            "species-key-string", "species-key-negative", "species-key-repeated",
+            "stagnation-string", "stagnation-negative", "best-fitness-string",
+            "best-fitness-nan", "best-fitness-inf", "no-species", "species-without-members",
+            "members-shared", "member-in-no-species"])
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, damage, named):
         run_experiment(make_config(pop_size=10, generation_limit=2,
                                    fitness_target=float("inf")), tmp_path / "run")

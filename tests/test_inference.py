@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -161,9 +162,10 @@ class TestSweep:
         assert np.array_equal(subset.view(np.uint64), full[idx].view(np.uint64))
 
     def test_reused_stack_equals_a_fresh_stack(self, corpus):
-        """Forward caches its buffer positions on the stack, per batch size; calls
-        at two batch sizes, from several threads at once and on a ``take``
-        subset give the bits of the same call on a stack built afresh."""
+        """Forward caches its buffer positions on the stack for its last batch
+        size; calls alternating two batch sizes, from several threads at once
+        and on a ``take`` subset give the bits of the same call on a stack built
+        afresh."""
         stacked, inputs = corpus
         idx = np.array([31, 4, 22, 9, 0, 13, 38])
 
@@ -208,6 +210,12 @@ class TestSweep:
         index = shared.flat_index(6)
         with pytest.raises(ValueError):
             index.columns[0, 0] = 0
+
+    def test_stack_keeps_the_index_of_its_last_batch_size_only(self, corpus):
+        stacked, _ = corpus
+        earlier = weakref.ref(stacked.flat_index(3))
+        assert stacked.flat_index(4) is stacked.flat_index(4)
+        assert earlier() is None
 
     def test_take_drops_columns_no_genome_uses(self, corpus):
         stacked, _ = corpus
@@ -363,6 +371,20 @@ class TestForward:
             forward(tn, inputs=[1.0, 2.0])
         with pytest.raises(InvalidInput):
             forward(tn, inputs=[np.nan])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["forward", "forward_batch", "population_forward"])
+    def test_non_finite_input_is_rejected(self, value, entry):
+        """A weight of 0 times an infinite input is NaN; it must not reach the sweep."""
+        config = make_config(inputs=2, outputs=1, max_nodes=8, max_conns=16)
+        genome = set_conn_attr(init_genome(config, RngStream(4).child(0, 0, 0)), 0, 2, 1, 0.0)
+        stacked = transform(genome)
+        x = np.array([value, 1.0])
+        call = {"forward": lambda: forward(stacked, x),
+                "forward_batch": lambda: forward_batch(stacked, np.stack([[0.5, 0.5], x])),
+                "population_forward": lambda: population_forward(stacked, x[None])}[entry]
+        with pytest.raises(InvalidInput, match="NaN or infinity"):
+            call()
 
     def test_transform_once_bitwise(self):
         config = make_config()

@@ -1,15 +1,17 @@
 """XOR, regression, and cart-pole: fitness semantics and batching."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from arrayneat import (ArrayNeatError, CartPoleProblem, CartPoleState, InvalidFitness,
-                       RegressionProblem, RngStream, ShapeMismatch, TerminalState,
-                       XorProblem, cartpole_step, eval_cartpole, eval_regression,
-                       eval_xor, evolve_step, forward, init_genome, init_state,
-                       make_problem, problems, set_conn_attr, transform)
+                       NeatConfig, RegressionProblem, RngStream, ShapeMismatch,
+                       TerminalState, XorProblem, cartpole_step, eval_cartpole,
+                       eval_regression, eval_xor, evolve_step, forward, init_genome,
+                       init_state, load_checkpoint, make_problem, population_transform,
+                       problems, run_experiment, set_conn_attr, transform)
 from arrayneat.errors import ConfigError
 from arrayneat.genome import PopulationTensors
 from arrayneat.parallel import run_chunked
@@ -308,3 +310,33 @@ class TestMakeProblem:
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
             make_problem(make_config(problem="chess"))
+
+
+# Every function code, response mutation, deletion and enable flips: the sweep
+# paths none of the benchmark workloads runs (they evolve sum/tanh networks).
+MIXED_FUNCTIONS = dict(
+    seed=3, pop_size=60, generation_limit=12,
+    activation_options=("identity", "tanh", "sigmoid", "relu"),
+    aggregation_options=("sum", "product", "max", "mean"),
+    activation_replace_rate=0.2, aggregation_replace_rate=0.2,
+    node_delete=0.1, conn_delete=0.1, enabled_mutate_rate=0.05,
+    response_mutate_rate=0.2, response_mutate_power=0.5, response_replace_rate=0.1)
+
+# sha256 of the 12 stats rows (columns as in stats.csv) of each problem's run
+MIXED_DIGESTS = {
+    "xor": "ea5da082064902ed06256420046cffb50e1b9d62eef079f90eba7ab942c92a50",
+    "regression": "1670556ddc3ec71980977ec11dc2102ae534d00cb755be8b06f93fc1e8cbffbc",
+    "cartpole": "479377bccef6ffee01089f2dab739d2be0a9a4def6244ed2686de40361b0a9a3",
+}
+
+
+@pytest.mark.parametrize("problem, inputs", [("xor", 2), ("regression", 1), ("cartpole", 4)])
+def test_mixed_function_run_keeps_its_digest(problem, inputs, tmp_path):
+    config = NeatConfig(problem=problem, inputs=inputs, **MIXED_FUNCTIONS)
+    outcome = run_experiment(config, tmp_path, threads=2)
+    rows = outcome.stats_path.read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == MIXED_DIGESTS[problem]
+    # the final population still mixes aggregation codes inside one sweep column
+    final = load_checkpoint(outcome.checkpoint_path).population
+    assert any(len(column.aggregations) > 1 for column in population_transform(final).columns)
