@@ -26,7 +26,8 @@ _PROBABILITY_FIELDS = (
 _UNBOUNDED_FIELDS = ("fitness_target", "compatibility_threshold")
 _NON_NEGATIVE_FIELDS = (
     "compatibility_threshold", "compatibility_disjoint", "compatibility_homologous",
-    "spawn_number_change_rate", "genome_elitism", "species_elitism",
+    "spawn_number_change_rate", "genome_elitism", "species_elitism", "generation_limit",
+    "max_stagnation",
 )
 
 

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-log(1 + exp(-x))): stable for large |x|
@@ -41,28 +40,3 @@ AGGREGATIONS: dict[int, tuple[str, Callable[[np.ndarray, np.ndarray], np.ndarray
 
 ACTIVATION_IDS = {name: code for code, (name, _) in ACTIVATIONS.items()}
 AGGREGATION_IDS = {name: code for code, (name, _) in AGGREGATIONS.items()}
-
-
-class FunctionRegistry:
-    """Lookup tables from integer codes to node calculation functions."""
-
-    def __init__(self,
-                 activations: dict[int, tuple[str, Callable]] | None = None,
-                 aggregations: dict[int, tuple[str, Callable]] | None = None):
-        self.activations = dict(ACTIVATIONS if activations is None else activations)
-        self.aggregations = dict(AGGREGATIONS if aggregations is None else aggregations)
-
-    def activation(self, code: int) -> Callable[[np.ndarray], np.ndarray]:
-        try:
-            return self.activations[int(code)][1]
-        except KeyError:
-            raise ConfigError(f"unknown activation code {code}") from None
-
-    def aggregation(self, code: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        try:
-            return self.aggregations[int(code)][1]
-        except KeyError:
-            raise ConfigError(f"unknown aggregation code {code}") from None
-
-
-DEFAULT_REGISTRY = FunctionRegistry()

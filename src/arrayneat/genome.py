@@ -167,14 +167,6 @@ def init_genome(config: NeatConfig, rng: RngStream) -> GenomeTensors:
 # row helpers
 # ---------------------------------------------------------------------------
 
-def _live_node_mask(nodes: np.ndarray) -> np.ndarray:
-    return ~np.isnan(nodes[:, NODE_KEY])
-
-
-def _live_conn_mask(conns: np.ndarray) -> np.ndarray:
-    return ~np.isnan(conns[:, CONN_IN])
-
-
 def occupied(keys: np.ndarray) -> int:
     """1 + the last row live in any genome of a (P, rows) key column, or 0.
 
@@ -299,30 +291,45 @@ def count_live(genome: GenomeTensors) -> tuple[int, int]:
 # integrity checking
 # ---------------------------------------------------------------------------
 
-def _check_node_genes(genes: np.ndarray, exc: type[Exception]) -> None:
-    """Raise ``exc`` unless every (k, 5) live node row has a valid key and known codes."""
-    if np.isnan(genes).any():
-        raise exc("a live node row must hold no NaN")
-    keys = genes[:, NODE_KEY]
-    if np.any(keys < 0) or np.any(keys != np.floor(keys)):
-        raise exc("node keys must be non-negative integers")
-    if np.any(keys >= PAIR_SHIFT):
-        raise exc(f"node keys must stay below {int(PAIR_SHIFT)} (2**26), "
-                  "where connection pair codes stop being exact")
+def _refuse(bad: np.ndarray, message: str, exc: type[Exception], name: str | None = None,
+            values: np.ndarray | None = None) -> None:
+    """Raise ``exc`` for the first True entry of ``bad`` (P, ...), lowest genome first.
+
+    ``message`` is a format string of the entry's ``values`` if given, and
+    ``name`` begins it with ``"{name} {p}: "`` for the entry's genome p.
+    """
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        text = message if values is None else message.format(values[at])
+        raise exc(text if name is None else f"{name} {at[0]}: {text}")
+
+
+def _check_node_genes(genes: np.ndarray, exc: type[Exception], name: str | None = None,
+                      live=True) -> None:
+    """Raise ``exc`` unless every ``live`` row of (..., 5) ``genes`` holds finite
+    numbers, a valid key and known codes."""
+    _refuse(live & ~np.isfinite(genes).all(axis=-1), "a live node row must hold finite numbers",
+            exc, name)
+    keys = genes[..., NODE_KEY]
+    _refuse(live & ((keys < 0) | (keys != np.floor(keys))),
+            "node keys must be non-negative integers", exc, name)
+    _refuse(live & (keys >= PAIR_SHIFT), f"node keys must stay below {int(PAIR_SHIFT)} (2**26), "
+            "where connection pair codes stop being exact", exc, name)
     for col, table, kind in ((NODE_AGG, AGGREGATIONS, "aggregation"),
                              (NODE_ACT, ACTIVATIONS, "activation")):
-        unknown = ~np.isin(genes[:, col], list(table))
-        if unknown.any():
-            raise exc(f"{kind} code {genes[unknown, col][0]:g} is not one of {sorted(table)}")
+        _refuse(live & ~np.isin(genes[..., col], list(table)),
+                f"{kind} code {{:g}} is not one of {sorted(table)}", exc, name, genes[..., col])
 
 
-def _check_conn_genes(genes: np.ndarray, exc: type[Exception]) -> None:
-    """Raise ``exc`` unless every (k, 4) live connection row holds no NaN and a 0/1 flag."""
-    if np.isnan(genes).any():
-        raise exc("a live connection row must hold no NaN")
-    enabled = genes[:, CONN_ENABLED]
-    if not np.all((enabled == 0.0) | (enabled == 1.0)):
-        raise exc("enabled flags must be 0.0 or 1.0")
+def _check_conn_genes(genes: np.ndarray, exc: type[Exception], name: str | None = None,
+                      live=True) -> None:
+    """Raise ``exc`` unless every ``live`` row of (..., 4) ``genes`` holds finite
+    numbers and a 0/1 flag."""
+    _refuse(live & ~np.isfinite(genes).all(axis=-1),
+            "a live connection row must hold finite numbers", exc, name)
+    enabled = genes[..., CONN_ENABLED]
+    _refuse(live & (enabled != 0.0) & (enabled != 1.0), "enabled flags must be 0.0 or 1.0",
+            exc, name)
 
 
 def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError) -> None:
@@ -332,35 +339,43 @@ def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError
         raise exc(f"node tensor must have shape (max_nodes, 5), got {nodes.shape}")
     if conns.ndim != 2 or conns.shape[1] != 4:
         raise exc(f"connection tensor must have shape (max_conns, 4), got {conns.shape}")
+    check_blocks(nodes[None], conns[None], genome.num_inputs, genome.num_outputs, exc)
 
-    for name, tensor in (("node", nodes), ("connection", conns)):
+
+def check_blocks(nodes: np.ndarray, conns: np.ndarray, num_inputs: int, num_outputs: int,
+                 exc: type[Exception] = IntegrityError, name: str | None = None) -> None:
+    """``check_integrity`` of every genome of (P, max_nodes, 5) and (P, max_conns, 4)
+    blocks, one array pass per rule; ``name`` names the first genome that breaks it."""
+    for kind, tensor in (("node", nodes), ("connection", conns)):
         nan = np.isnan(tensor)
-        mixed = np.nonzero(nan.any(axis=1) & ~nan.all(axis=1))[0]
-        if mixed.size:
-            raise exc(f"{name} row {mixed[0]} mixes NaN and live entries")
+        _refuse(nan.any(axis=2) & ~nan.all(axis=2), f"{kind} row {{}} mixes NaN and live entries",
+                exc, name, np.broadcast_to(np.arange(tensor.shape[1]), nan.shape[:2]))
+    # rows past the last live one are padding now, so the rules read the prefix
+    nodes = nodes[:, :occupied(nodes[:, :, NODE_KEY])]
+    conns = conns[:, :occupied(conns[:, :, CONN_IN])]
 
-    live_n = _live_node_mask(nodes)
-    _check_node_genes(nodes[live_n], exc)
-    keys = nodes[live_n, NODE_KEY]
-    if np.unique(keys).size != keys.size:
-        raise exc("live node keys must be pairwise distinct")
-    n_io = genome.num_inputs + genome.num_outputs
-    for k in range(n_io):
-        if not np.any(keys == float(k)):
-            kind = "input" if k < genome.num_inputs else "output"
-            raise exc(f"{kind} node key {k} is missing")
+    live = ~np.isnan(nodes[:, :, NODE_KEY])
+    _check_node_genes(nodes, exc, name, live)
+    keys = np.sort(nodes[:, :, NODE_KEY], axis=1)  # NaN padding sorts last and equals nothing
+    _refuse(keys[:, 1:] == keys[:, :-1], "live node keys must be pairwise distinct", exc, name)
+    io = np.arange(num_inputs + num_outputs)
+    missing = ~(keys[:, :, None] == io).any(axis=1)
+    _refuse(missing, "input or output node key {} is missing", exc, name,
+            np.broadcast_to(io, missing.shape))
 
-    live_c = _live_conn_mask(conns)
-    pairs = conns[live_c][:, [CONN_IN, CONN_OUT]]
-    if pairs.size:
-        if np.unique(pairs, axis=0).shape[0] != pairs.shape[0]:
-            raise exc("live connection key pairs must be pairwise distinct")
-        for col, label in ((CONN_IN, "in_key"), (CONN_OUT, "out_key")):
-            missing = ~np.isin(conns[live_c, col], keys)
-            if missing.any():
-                bad = conns[live_c, col][missing][0]
-                raise exc(f"connection {label} {bad} does not refer to a live node")
-        _check_conn_genes(conns[live_c], exc)
+    # endpoints as genome * PAIR_SHIFT + key codes, exact for keys below PAIR_SHIFT
+    genome = np.arange(len(nodes))[:, None] * PAIR_SHIFT
+    node_codes = (genome + nodes[:, :, NODE_KEY])[live]
+    live = ~np.isnan(conns[:, :, CONN_IN])
+    for col, end in ((CONN_IN, "in_key"), (CONN_OUT, "out_key")):
+        ends = conns[:, :, col]
+        codes = np.where((ends >= 0) & (ends < PAIR_SHIFT), genome + ends, -1.0)
+        _refuse(live & ~np.isin(codes, node_codes),
+                f"connection {end} {{:g}} does not refer to a live node", exc, name, ends)
+    pairs = np.sort(conns[:, :, CONN_IN] * PAIR_SHIFT + conns[:, :, CONN_OUT], axis=1)
+    _refuse(pairs[:, 1:] == pairs[:, :-1], "live connection key pairs must be pairwise distinct",
+            exc, name)
+    _check_conn_genes(conns, exc, name, live)
 
 
 # ---------------------------------------------------------------------------

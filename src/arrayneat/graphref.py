@@ -16,7 +16,6 @@ from .config import NeatConfig
 from .errors import (CycleDetected, DanglingEndpoint, DuplicateConn,
                      DuplicateKey, IntegrityError, KeyNotFound, ProtectedNode,
                      ShapeMismatch)
-from .functions import FunctionRegistry
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE, ConnRow,
                      GenomeTensors, NodeRow, check_integrity)
@@ -113,7 +112,7 @@ def graph_remove_conn(net: GraphNetwork, in_key: int, out_key: int) -> GraphNetw
 
 # -- inference ----------------------------------------------------------------
 
-def graph_forward(net: GraphNetwork, registry: FunctionRegistry | None,
+def graph_forward(net: GraphNetwork, registry: None,
                   inputs: list[float]) -> list[float]:
     """Evaluate by memoized recursion from the output nodes; ``registry`` is ignored.
 

@@ -10,10 +10,9 @@ columns, where ``S`` is the largest such count in the population.  Column ``s`` 
 its s-th computed node and that node's incoming weights as one contiguous
 row of width ``n`` (NaN where no enabled edge exists).  A genome with fewer
 than ``S`` computed nodes writes its spare columns to a scratch cell past the
-node values.  Everything forward needs per column - node attributes, the
-aggregation and activation codes present, their masks - is computed once
-here, not on every forward call, and the flat buffer positions forward
-writes are kept on the stack for the last batch size (``flat_index``).
+node values.  Everything forward reads is fixed when the stack is built: per
+column the node attributes and the functions of its codes, and the buffer
+positions at one batch row.  An unknown code fails here, with ``ConfigError``.
 
 Phase two (forward) walks the ``S`` columns.  Each multiplies its incoming
 weight rows by the contiguous node-value tensor, aggregates over the
@@ -40,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleDetected, InvalidInput
-from .functions import ACTIVATIONS, DEFAULT_REGISTRY, FunctionRegistry
+from .errors import ConfigError, CycleDetected, InvalidInput
+from .functions import ACTIVATIONS, AGGREGATIONS
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
                      GenomeTensors, PopulationTensors, occupied)
@@ -55,30 +54,23 @@ class _SweepColumn:
     edges: np.ndarray     # (P, 1, n) True where an enabled edge exists
     bias: np.ndarray      # (P, 1)
     response: np.ndarray  # (P, 1)
-    aggregations: tuple   # (code, (P, 1) mask) per aggregation code among its nodes
-    activations: tuple    # (code, (P, 1) mask) per activation code among its nodes
+    pure_sum: bool        # every node here aggregates by sum
+    aggregations: tuple   # (function, (P, 1) mask) per aggregation code among its nodes
+    activations: tuple    # (function, (P, 1) mask) per activation code among its nodes
 
 
-@dataclass(frozen=True, eq=False)
-class _FlatIndex:
-    """Where forward reads and writes in its flat value buffer, for one batch size.
-
-    The buffer holds a (P, B, n) block of node values followed by one scratch
-    cell, so position ``(p * B + b) * n + row`` is node ``row`` of genome p at
-    batch row b.  The arrays are read-only: stacks may be shared across threads.
-    """
-    inputs: np.ndarray   # (P, B, I) input row positions
-    columns: np.ndarray  # (S, P * B) node row positions per sweep column, scratch if none
-    outputs: np.ndarray  # (P, B, O) output row positions
-
-
-def _codes_by_column(codes: np.ndarray, active: np.ndarray) -> list[tuple]:
-    """Per column of (P, S) ``codes``: (code, (P, 1) mask) per code its active genomes use."""
+def _codes_by_column(codes: np.ndarray, active: np.ndarray, table: dict,
+                     kind: str) -> list[tuple]:
+    """Per column of (P, S) ``codes``: (function, (P, 1) mask) per code its active
+    genomes use, the function taken from ``table``; ConfigError for a code outside it."""
     # sorted(set()) rather than np.unique, which imports numpy.ma on first use
     present = sorted(set(codes[active].tolist()))
+    for code in present:
+        if code not in table:
+            raise ConfigError(f"unknown {kind} code {code:g}")
     masks = [active & (codes == code) for code in present]
     used = [mask.any(axis=0).tolist() for mask in masks]
-    return [tuple((code, mask[:, s, None])
+    return [tuple((table[code][1], mask[:, s, None])
                   for code, mask, in_column in zip(present, masks, used) if in_column[s])
             for s in range(codes.shape[1])]
 
@@ -94,9 +86,10 @@ class StackedNetworks:
     node row genome p computes at column s, or n where p has fewer than S
     non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
     the enabled edge from node row j into that node, so one node's incoming
-    weights are a contiguous row.  ``columns`` is derived from these when the
-    stack is built, and ``flat_index`` keeps forward's buffer positions for
-    the last batch size it was asked for.
+    weights are a contiguous row.  The rest is derived when the stack is
+    built: ``columns`` and forward's read-only buffer positions at one batch
+    row, ``p * n + row`` for node ``row`` of genome p and ``P * n`` for the
+    scratch cell, so a stack may be shared across threads.
     """
     nodes: np.ndarray          # (P, n, 5)
     order: np.ndarray          # (P, n) topological order of live rows, NaN padded
@@ -105,7 +98,9 @@ class StackedNetworks:
     sweep_rows: np.ndarray     # (P, S) int64 node row per column, n if none
     sweep_weights: np.ndarray  # (P, S, n) weight of enabled edge row j -> that row
     columns: tuple[_SweepColumn, ...] = field(init=False, repr=False)
-    _flat_index: tuple = field(init=False, repr=False, default=(None, None))  # (batch, index)
+    input_at: np.ndarray = field(init=False, repr=False)   # (P, I)
+    column_at: np.ndarray = field(init=False, repr=False)  # (S, P), P * n where none
+    output_at: np.ndarray = field(init=False, repr=False)  # (P, O)
 
     def __post_init__(self):
         pop, n = self.order.shape
@@ -114,8 +109,9 @@ class StackedNetworks:
         node = np.where(active[:, :, None],
                         self.nodes[np.arange(pop)[:, None], np.minimum(self.sweep_rows, n - 1)],
                         0.0)
-        aggregations = _codes_by_column(node[:, :, NODE_AGG], active)
-        activations = _codes_by_column(node[:, :, NODE_ACT], active)
+        aggregations = _codes_by_column(node[:, :, NODE_AGG], active, AGGREGATIONS,
+                                        "aggregation")
+        activations = _codes_by_column(node[:, :, NODE_ACT], active, ACTIVATIONS, "activation")
         # column-major copies, so that every (P, ...) array forward reads per column
         # is contiguous; the weights from _compile are column-major already
         bias = np.ascontiguousarray(node[:, :, NODE_BIAS].T)
@@ -125,30 +121,19 @@ class StackedNetworks:
         self.columns = tuple(
             _SweepColumn(weights=weights[s, :, None], edges=edges[s, :, None],
                          bias=bias[s, :, None], response=response[s, :, None],
+                         pure_sum=[f for f, _ in aggregations[s]] == [AGGREGATIONS[0][1]],
                          aggregations=aggregations[s], activations=activations[s])
             for s in range(self.sweep_rows.shape[1]))
+        cells = np.arange(0, pop * n, n)[:, None]
+        self.input_at = cells + self.input_rows
+        self.column_at = np.where(active, cells + self.sweep_rows, pop * n).T.copy()
+        self.output_at = cells + self.output_rows
+        for array in (self.input_at, self.column_at, self.output_at):
+            array.flags.writeable = False
 
     @property
     def size(self) -> int:
         return self.order.shape[0]
-
-    def flat_index(self, batch: int) -> _FlatIndex:
-        """Forward's buffer positions at ``batch`` rows per genome; the last size's are kept."""
-        cached, index = self._flat_index
-        if cached != batch:
-            pop, n = self.order.shape
-            scratch = pop * batch * n
-            cells = np.arange(0, scratch, n).reshape(pop, batch, 1)
-            rows = np.ascontiguousarray(self.sweep_rows.T)[:, :, None]
-            columns = np.where(rows < n, cells[:, :, 0] + rows, scratch)
-            index = _FlatIndex(cells + self.input_rows[:, None, :],
-                               columns.reshape(len(columns), pop * batch),
-                               cells + self.output_rows[:, None, :])
-            for array in (index.inputs, index.columns, index.outputs):
-                array.flags.writeable = False
-            # one assignment, and equal on every thread: a race only recomputes the index
-            self._flat_index = (batch, index)
-        return index
 
     def take(self, idx: np.ndarray) -> "StackedNetworks":
         """The networks at ``idx``; sweep columns none of them computes are dropped."""
@@ -261,7 +246,8 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
 
 
 def transform(genome: GenomeTensors) -> StackedNetworks:
-    """Transform one genome into a stack of one; raises CycleDetected on an enabled cycle."""
+    """Transform one genome into a stack of one; raises CycleDetected on an enabled
+    cycle and ConfigError on a function code outside the tables."""
     stacked, cyclic = transform_arrays(genome.nodes[None], genome.conns[None],
                                        genome.num_inputs, genome.num_outputs)
     if cyclic.size:
@@ -270,7 +256,8 @@ def transform(genome: GenomeTensors) -> StackedNetworks:
 
 
 def population_transform(pop: PopulationTensors) -> StackedNetworks:
-    """Transform every genome; aggregates per-genome cycle failures."""
+    """Transform every genome; aggregates per-genome cycle failures, and raises
+    ConfigError on a function code outside the tables."""
     stacked, cyclic = transform_arrays(pop.nodes, pop.conns, pop.num_inputs, pop.num_outputs)
     if cyclic.size:
         raise CycleDetected(
@@ -283,55 +270,62 @@ def population_transform(pop: PopulationTensors) -> StackedNetworks:
 # forward
 # ---------------------------------------------------------------------------
 
-def forward_arrays(stacked: StackedNetworks, registry: FunctionRegistry,
+def forward_arrays(stacked: StackedNetworks, registry: None,
                    inputs: np.ndarray) -> np.ndarray:
-    """Batched node-value sweep: inputs (P, B, I) -> outputs (P, B, O).
+    """Batched node-value sweep: inputs (P, B, I) -> outputs (P, B, O); ``registry`` is ignored.
 
     Node values live in a flat buffer initialized to NaN: a contiguous
-    (P, B, n) block, where n is the stack's node width, then the scratch cell
-    (see ``StackedNetworks.flat_index``).  Each sweep column multiplies its
-    incoming weight rows by the node values, aggregates with each node's
-    aggregation function, and writes activation(bias + response * aggregated)
-    to its node rows.  A column applies each function code present in it to
-    the whole column and keeps, per genome, its own code's value; the value of
-    a genome without a node in the column goes to the scratch cell.
+    (P, B, n) block, where n is the stack's node width, then the scratch cell.
+    Node ``row`` of genome p at batch row b is at the stack's position for one
+    batch row shifted by ``n * (p * (B - 1) + b)``.  Each sweep column
+    multiplies its incoming weight rows by the node values, aggregates with
+    each node's aggregation function, and writes
+    activation(bias + response * aggregated) to its node rows.  A column
+    applies each function present in it to the whole column and keeps, per
+    genome, its own function's value; the value of a genome without a node in
+    the column goes to the scratch cell.
     """
     pop, n = stacked.order.shape
     batch = inputs.shape[1]
-    index = stacked.flat_index(batch)
+    input_at, column_at, output_at = stacked.input_at, stacked.column_at, stacked.output_at
+    if batch > 1:
+        shift = n * (np.arange(pop)[:, None] * (batch - 1) + np.arange(batch))
+        input_at = input_at[:, None, :] + shift[:, :, None]
+        output_at = output_at[:, None, :] + shift[:, :, None]
+        column_at = np.where(column_at[:, :, None] < pop * n, column_at[:, :, None] + shift,
+                             pop * batch * n).reshape(len(column_at), pop * batch)
 
     flat = np.empty(pop * batch * n + 1)
     flat.fill(np.nan)
-    flat[index.inputs] = inputs
+    flat[input_at] = inputs.reshape(input_at.shape)
     sources = flat[:-1].reshape(pop, batch, n)
 
     weighted = np.empty((pop, batch, n))
-    for column, rows in zip(stacked.columns, index.columns):
+    for column, rows in zip(stacked.columns, column_at):
         np.multiply(column.weights, sources, out=weighted)
 
-        agg_codes = column.aggregations
-        if len(agg_codes) == 1 and agg_codes[0][0] == 0:
-            # pure-sum column: weighted is NaN exactly where no edge exists, so
-            # zeroing NaNs in place (as nansum does in a copy) and summing
-            # equals the registry's masked sum bit for bit
+        if column.pure_sum:
+            # weighted is NaN exactly where no edge exists, so zeroing NaNs in
+            # place (as nansum does in a copy) and summing equals the table's
+            # masked sum bit for bit
             weighted[np.isnan(weighted)] = 0.0
             aggregated = np.add.reduce(weighted, axis=-1)
         else:
             aggregated = None
-            for code, mask in agg_codes:
-                value = registry.aggregation(code)(weighted, column.edges)
+            for aggregate, mask in column.aggregations:
+                value = aggregate(weighted, column.edges)
                 aggregated = value if aggregated is None else np.where(mask, value, aggregated)
 
         pre = column.bias + column.response * aggregated
 
         out = None
-        for code, mask in column.activations:
-            value = registry.activation(code)(pre)
+        for activate, mask in column.activations:
+            value = activate(pre)
             out = value if out is None else np.where(mask, value, out)
 
         flat[rows] = out.reshape(-1)
 
-    return flat[index.outputs]
+    return flat[output_at].reshape(pop, batch, -1)
 
 
 def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:
@@ -353,7 +347,7 @@ def forward(stacked: StackedNetworks, inputs) -> np.ndarray:
     if arr.ndim != 1:
         raise InvalidInput(f"expected a 1-D input vector, got shape {arr.shape}")
     _check_inputs(arr, stacked.input_rows.shape[1])
-    return forward_arrays(stacked, DEFAULT_REGISTRY, arr[None, None, :])[0, 0]
+    return forward_arrays(stacked, None, arr[None, None, :])[0, 0]
 
 
 def forward_batch(stacked: StackedNetworks, inputs) -> np.ndarray:
@@ -365,7 +359,7 @@ def forward_batch(stacked: StackedNetworks, inputs) -> np.ndarray:
     if arr.shape[0] < 1:
         raise InvalidInput("batch must contain at least one row")
     _check_inputs(arr, stacked.input_rows.shape[1])
-    return forward_arrays(stacked, DEFAULT_REGISTRY, arr[None])[0]
+    return forward_arrays(stacked, None, arr[None])[0]
 
 
 def population_forward(stacked: StackedNetworks, inputs) -> np.ndarray:
@@ -380,8 +374,8 @@ def population_forward(stacked: StackedNetworks, inputs) -> np.ndarray:
         raise InvalidInput(f"expected inputs for {stacked.size} networks, got {arr.shape[0]}")
     _check_inputs(arr, stacked.input_rows.shape[1])
     if arr.ndim == 2:
-        return forward_arrays(stacked, DEFAULT_REGISTRY, arr[:, None, :])[:, 0, :]
-    return forward_arrays(stacked, DEFAULT_REGISTRY, arr)
+        return forward_arrays(stacked, None, arr[:, None, :])[:, 0, :]
+    return forward_arrays(stacked, None, arr)
 
 
 # ---------------------------------------------------------------------------

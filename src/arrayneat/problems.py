@@ -18,7 +18,6 @@ import numpy as np
 from .config import NeatConfig
 from .errors import (ConfigError, CycleDetected, InvalidFitness, ShapeMismatch,
                      TerminalState)
-from .functions import DEFAULT_REGISTRY
 from .genome import PopulationTensors
 from .inference import StackedNetworks, forward_arrays, transform_arrays
 from .parallel import run_chunked
@@ -172,7 +171,7 @@ def _cartpole_lockstep(stacked: StackedNetworks, streams: RngStream) -> np.ndarr
             stacked = stacked.take(keep)
             state = state[keep]
             running, alive, steps = running[keep], alive[keep], steps[keep]
-        outputs = forward_arrays(stacked, DEFAULT_REGISTRY, state[:, None, :])[:, 0, 0]
+        outputs = forward_arrays(stacked, None, state[:, None, :])[:, 0, 0]
         force = np.where(outputs > 0, FORCE_MAG, -FORCE_MAG)
         # the Euler step of cartpole_step, in place: rates are the time derivatives
         rates = np.empty_like(state)
@@ -248,7 +247,7 @@ class XorProblem(Problem):
 
     def evaluate_stacked(self, stacked, rng, indices):
         inputs = np.broadcast_to(XOR_INPUTS, (stacked.size,) + XOR_INPUTS.shape)
-        return _xor_fitness(forward_arrays(stacked, DEFAULT_REGISTRY, inputs))
+        return _xor_fitness(forward_arrays(stacked, None, inputs))
 
 
 class RegressionProblem(Problem):
@@ -268,7 +267,7 @@ class RegressionProblem(Problem):
 
     def evaluate_stacked(self, stacked, rng, indices):
         inputs = np.broadcast_to(self.xs[:, None], (stacked.size, self.xs.size, 1))
-        return _regression_fitness(forward_arrays(stacked, DEFAULT_REGISTRY, inputs), self.ys)
+        return _regression_fitness(forward_arrays(stacked, None, inputs), self.ys)
 
 
 class CartPoleProblem(Problem):

@@ -26,8 +26,8 @@ from .config import NeatConfig, dump_config, parse_config_text
 from .errors import ConfigError, IntegrityError
 from .evolution import (STAGE_INIT, GenerationStats, NodeKeyAllocator,
                         SpeciesState, evolve_step, speciate)
-from .genome import (NODE_KEY, GenomeTensors, PopulationTensors, init_arrays,
-                     serialize_genome)
+from .genome import (NODE_KEY, GenomeTensors, PopulationTensors, check_blocks,
+                     init_arrays, serialize_genome)
 from .problems import make_problem
 from .rng import RngStream
 from .search import PAIR_SHIFT
@@ -162,12 +162,13 @@ def load_checkpoint(path) -> EvolutionState:
 
     Bytes that do not unpickle, payloads that lack a key ``save_checkpoint``
     writes (a checkpoint of an earlier format, say), and values a run could
-    not have written are rejected, not converted: node and connection blocks
-    whose shape differs from the config's, a negative or fractional
-    generation, stats rows that do not number one per generation, a next
-    node key at or below a live key, species keys that repeat, and species
-    whose members do not partition the population.  Keys it does not read
-    are ignored.
+    not have written are rejected, not converted: a config that is not text,
+    node and connection blocks whose shape differs from the config's, genomes
+    or representatives that ``check_integrity`` refuses, a negative or
+    fractional generation, stats rows that do not number one per generation,
+    a next node key at or below a live key, species keys that repeat, and
+    species whose members do not partition the population.  Keys it does not
+    read are ignored.
     """
     with open(path, "rb") as fh:
         try:
@@ -183,6 +184,9 @@ def load_checkpoint(path) -> EvolutionState:
         raise IntegrityError(f"{where} species must be a non-empty list")
     entries = [_with_keys(entry, _SPECIES_KEYS, f"{where} species {i}")
                for i, entry in enumerate(payload["species"])]
+    if not isinstance(payload["config"], str):
+        raise IntegrityError(f"{where} config must be text, "
+                             f"got {type(payload['config']).__name__}")
     config = parse_config_text(payload["config"])
     generation = _integer(payload["generation"], f"{where} generation", 0)
     stats_rows = payload["stats_rows"]
@@ -228,6 +232,11 @@ def load_checkpoint(path) -> EvolutionState:
     if next_key <= highest:
         raise IntegrityError(f"{where} next_key {next_key} must exceed every live node key, "
                              f"up to {highest:.0f}")
+    check_blocks(population.nodes, population.conns, config.inputs, config.outputs,
+                 name=f"{where} genome")
+    check_blocks(np.stack([sp.representative.nodes for sp in species]),
+                 np.stack([sp.representative.conns for sp in species]),
+                 config.inputs, config.outputs, name=f"{where} representative of species")
     return EvolutionState(config=config, population=population, species=species,
                           allocator=NodeKeyAllocator(next_key), generation=generation,
                           stats_rows=list(stats_rows))

@@ -9,14 +9,14 @@ fixtures.
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arrayneat import (NeatConfig, RngStream, decode, distance, evolve_step, forward,
-                       graph_distance, graph_forward, init_genome, load_checkpoint,
-                       make_problem, population_forward, run_experiment, transform)
+                       graph_distance, graph_forward, init_genome, init_state, load_checkpoint,
+                       make_problem, population_forward, run_experiment, save_checkpoint,
+                       transform)
 from arrayneat.cli import main
 from arrayneat.genome import check_integrity
 from arrayneat.inference import transform_arrays
@@ -220,28 +220,38 @@ def test_iteration_time_stability(tmp_path):
     """Generation 100 of a 100-generation XOR run costs <= 1.5x the
     median of generations 10-20.
 
-    Generation 100 is timed five times, each from a fresh load of the
-    checkpoint written after generation 99, and the median is gated, so one
-    slow sample on a loaded machine does not decide the test.
+    Checkpoints are written before each of those generations.  Each of five
+    rounds loads them and times generations 10-20 and 100 back to back, so
+    load on the machine that comes and goes during the test reaches both
+    sides of a round alike; the median of the rounds' ratios is gated.
     """
-    outcome = run_xor_seed(0, tmp_path / "run", generation_limit=99,
-                           fitness_target=math.inf)
-    assert outcome.generations == 99
-    rows = Path(outcome.stats_path.parent, "timings.csv").read_text().splitlines()[1:]
-    times = [float(line.split(",")[1]) for line in rows]
-    baseline = float(np.median(times[9:20]))
-    samples = []
+    config = NeatConfig(seed=0, pop_size=150, inputs=2, outputs=1, problem="xor",
+                        fitness_target=math.inf, generation_limit=100)
+    timed = [*range(9, 20), 99]
+    state, problem, root = init_state(config), make_problem(config), RngStream(config.seed)
+    for generation in range(100):
+        if generation in timed:
+            save_checkpoint(tmp_path / f"{generation}.pkl", state)
+        state.population, state.species, stats = evolve_step(
+            state.population, state.species, config, root.child(generation),
+            state.allocator, problem)
+        state.stats_rows.append(repr(stats.best_fitness))  # one row per generation
+        state.generation = generation + 1
+
+    def seconds(generation):
+        loaded = load_checkpoint(tmp_path / f"{generation}.pkl")
+        return evolve_step(loaded.population, loaded.species, config, root.child(generation),
+                           loaded.allocator, problem)[2].elapsed_seconds
+
+    ratios = []
     for _ in range(5):
-        state = load_checkpoint(outcome.checkpoint_path)
-        _, _, stats = evolve_step(state.population, state.species, state.config,
-                                  RngStream(state.config.seed).child(99), state.allocator,
-                                  make_problem(state.config))
-        samples.append(stats.elapsed_seconds)
-    final = float(np.median(samples))
-    ok = final <= 1.5 * baseline
+        times = [seconds(generation) for generation in timed]
+        ratios.append(times[-1] / float(np.median(times[:-1])))
+    ratio = float(np.median(ratios))
+    ok = ratio <= 1.5
     report("iteration-time-stability", ok,
-           f"generation 100 took {final * 1e3:.2f}ms (median of 5) vs median(gen 10-20) "
-           f"{baseline * 1e3:.2f}ms (limit 1.5x)")
+           f"generation 100 took {ratio:.2f}x the median of generations 10-20 "
+           f"(median of 5 back-to-back rounds, limit 1.5x)")
     assert ok
 
 

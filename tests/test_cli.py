@@ -8,7 +8,7 @@ import pytest
 from arrayneat import (ConfigError, RngStream, init_genome,
                        parse_config_text, serialize_genome)
 from arrayneat.cli import main
-from arrayneat.genome import NODE_KEY
+from arrayneat.genome import CONN_ENABLED, CONN_IN, NODE_BIAS, NODE_KEY
 from arrayneat.runner import (EXIT_GENERATION_LIMIT, EXIT_SOLVED, load_checkpoint,
                               run_experiment, save_checkpoint)
 
@@ -110,6 +110,14 @@ class TestConfigParsing:
             parse_config_text(f"{name} = nan\n")
         with pytest.raises(ConfigError, match=f"{name} must be a number"):
             make_config(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["generation_limit", "max_stagnation"])
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            parse_config_text(f"{name} = -1\n")
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            make_config(**{name: -4})
+        assert getattr(make_config(**{name: 0}), name) == 0
 
 
 class TestRun:
@@ -238,6 +246,13 @@ def add_species(**values):
     return change
 
 
+def set_cell(block, index, value):
+    """``value`` at ``index`` of the payload's ``block``, or of the first species' block."""
+    def change(data):
+        (data[block] if block in data else data["species"][0][block])[index] = value
+    return change
+
+
 def plant_key(block):
     """A live node key equal to ``next_key`` in genome 0's last row, or the first representative's."""
     def change(data):
@@ -312,6 +327,23 @@ class TestResume:
         (edited(lambda data: data["species"][0].update(
             member_indices=data["species"][0]["member_indices"][1:])),
          "member_indices must partition"),
+        (edited(set_value(config=5)), "config must be text, got int"),
+        (edited(lambda data: data.update(config=data["config"].encode())),
+         "config must be text, got bytes"),
+        (edited(set_cell("conns", (0, 0, CONN_ENABLED), 0.5)),
+         "genome 0: enabled flags must be 0.0 or 1.0"),
+        (edited(set_cell("nodes", (4, 2, NODE_KEY), 2.5)),
+         "genome 4: node keys must be non-negative integers"),
+        (edited(set_cell("nodes", (0, 0, NODE_BIAS), np.inf)),
+         "genome 0: a live node row must hold finite numbers"),
+        (edited(set_cell("rep_conns", (0, CONN_ENABLED), 0.5)),
+         "representative of species 0: enabled flags must be 0.0 or 1.0"),
+        (edited(set_cell("nodes", (3, 1, NODE_KEY), 0.0)),
+         "genome 3: live node keys must be pairwise distinct"),
+        (edited(set_cell("conns", (2, 0, CONN_IN), 1000.0)),
+         "genome 2: connection in_key 1000 does not refer to a live node"),
+        (edited(set_cell("nodes", (1, 0), np.nan)),
+         "genome 1: input or output node key 0 is missing"),
     ], ids=["truncated", "garbage", "earlier-format", "member-past-population",
             "member-negative", "nodes-of-fewer-genomes", "nodes-narrowed", "conns-narrowed",
             "representative-narrowed", "generation-string", "generation-negative",
@@ -321,7 +353,10 @@ class TestResume:
             "species-key-string", "species-key-negative", "species-key-repeated",
             "stagnation-string", "stagnation-negative", "best-fitness-string",
             "best-fitness-nan", "best-fitness-inf", "no-species", "species-without-members",
-            "members-shared", "member-in-no-species"])
+            "members-shared", "member-in-no-species", "config-int", "config-bytes",
+            "enabled-fraction", "node-key-fraction", "bias-infinite",
+            "representative-enabled-fraction", "node-key-repeated", "endpoint-dangling",
+            "input-row-missing"])
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, damage, named):
         run_experiment(make_config(pop_size=10, generation_limit=2,
                                    fitness_target=float("inf")), tmp_path / "run")

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from arrayneat import (ConfigError, ConnRow, CycleDetected, GenomeTensors, Inval
                        check_integrity, decode, forward, forward_batch, graph_forward,
                        init_genome, population_forward, population_transform,
                        set_conn_attr, set_node_attr, to_dot, transform)
-from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS, DEFAULT_REGISTRY
+from arrayneat.functions import ACTIVATION_IDS, AGGREGATION_IDS
 from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_KEY
 from arrayneat.inference import forward_arrays, transform_arrays
 
@@ -157,15 +156,15 @@ class TestSweep:
     def test_take_equals_rows_of_the_full_forward(self, corpus, idx):
         stacked, inputs = corpus
         idx = np.array(idx)
-        full = forward_arrays(stacked, DEFAULT_REGISTRY, inputs)
-        subset = forward_arrays(stacked.take(idx), DEFAULT_REGISTRY, inputs[idx])
+        full = forward_arrays(stacked, None, inputs)
+        subset = forward_arrays(stacked.take(idx), None, inputs[idx])
         assert np.array_equal(subset.view(np.uint64), full[idx].view(np.uint64))
 
     def test_reused_stack_equals_a_fresh_stack(self, corpus):
-        """Forward caches its buffer positions on the stack for its last batch
-        size; calls alternating two batch sizes, from several threads at once
+        """Forward reads its buffer positions from the stack and shifts them per
+        call; calls alternating two batch sizes, from several threads at once
         and on a ``take`` subset give the bits of the same call on a stack built
-        afresh."""
+        afresh, and the positions are read-only."""
         stacked, inputs = corpus
         idx = np.array([31, 4, 22, 9, 0, 13, 38])
 
@@ -177,7 +176,7 @@ class TestSweep:
         cases = [(None, inputs[:, :1]), (None, inputs), (idx, inputs[idx, :1]),
                  (idx, inputs[idx])]
         expected = [forward_arrays(fresh() if rows is None else fresh().take(rows),
-                                   DEFAULT_REGISTRY, x).view(np.uint64) for rows, x in cases]
+                                   None, x).view(np.uint64) for rows, x in cases]
         shared = fresh()
         start = threading.Barrier(4)
         failures = []
@@ -189,7 +188,7 @@ class TestSweep:
                 for _ in range(20):
                     for (rows, x), want in zip(cases, expected):
                         got = forward_arrays(shared if rows is None else subset,
-                                             DEFAULT_REGISTRY, x)
+                                             None, x)
                         if not np.array_equal(got.view(np.uint64), want):
                             failures.append((rows is None, x.shape))
             except Exception as err:  # a thread's error must fail the test, not vanish
@@ -207,15 +206,8 @@ class TestSweep:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        index = shared.flat_index(6)
         with pytest.raises(ValueError):
-            index.columns[0, 0] = 0
-
-    def test_stack_keeps_the_index_of_its_last_batch_size_only(self, corpus):
-        stacked, _ = corpus
-        earlier = weakref.ref(stacked.flat_index(3))
-        assert stacked.flat_index(4) is stacked.flat_index(4)
-        assert earlier() is None
+            shared.column_at[0, 0] = 0
 
     def test_take_drops_columns_no_genome_uses(self, corpus):
         stacked, _ = corpus

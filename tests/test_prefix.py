@@ -13,7 +13,6 @@ import pytest
 
 from arrayneat import GenomeTensors, RngStream, init_genome
 from arrayneat.evolution import _crossover_into, distance_arrays, mutate_arrays
-from arrayneat.functions import DEFAULT_REGISTRY
 from arrayneat.genome import CONN_IN, NODE_KEY, occupied
 from arrayneat.inference import forward_arrays, transform_arrays
 
@@ -71,7 +70,7 @@ def crossed(nodes, conns, less_nodes, less_conns):
 
 def forwarded(config, nodes, conns, inputs):
     stacked, cyclic = transform_arrays(nodes, conns, config.inputs, config.outputs)
-    return stacked, cyclic, forward_arrays(stacked, DEFAULT_REGISTRY, inputs)
+    return stacked, cyclic, forward_arrays(stacked, None, inputs)
 
 
 class TestOneGenomeAtTheLastRow:
