@@ -20,9 +20,10 @@ import numpy as np
 
 from .config import NeatConfig
 from .errors import CapacityFull, ExtinctionError, ShapeMismatch
-from .genome import (CONN_ATTRS, CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
-                     NODE_AGG, NODE_ATTRS, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
-                     GenomeTensors, PopulationTensors, occupied)
+from .genome import (CONN_ATTRS, CONN_ENABLED, CONN_HEADROOM, CONN_IN, CONN_OUT,
+                     CONN_WEIGHT, NODE_ACT, NODE_AGG, NODE_ATTRS, NODE_BIAS, NODE_HEADROOM,
+                     NODE_KEY, NODE_RESPONSE, GenomeTensors, PopulationTensors,
+                     stored_width, with_rows)
 from .parallel import run_chunked
 from .rng import RngStream
 from .search import (PAIR_SHIFT, bit_address, bitset_members, bitsets, match_aligned,
@@ -107,29 +108,29 @@ def _pick_kth_true(mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
                     less_nodes: np.ndarray, less_conns: np.ndarray,
-                    rng: RngStream) -> None:
+                    rng: RngStream, capacity: tuple[int, int]) -> None:
     """Blend attributes of the less fit parent into owned fitter-parent arrays.
 
     Topology (and padding layout) comes from the fitter parent, ``out_*``;
     each attribute of a gene that is also live in the less fit parent is
-    taken from either parent with probability one half.  The less fit
-    parents' blocks may be cut to any prefix that holds every live row of
-    both blocks, and matching runs on that prefix of both.  Node genes are
-    matched by key, then connection genes by their (in_key, out_key) pair
-    code.  Coin draws cover a fixed (max_nodes x 4) + (max_conns x 2) grid,
-    node coins first, but are only computed at the homologous cells that
-    consume them.
+    taken from either parent with probability one half.  The blocks may be
+    stored at any width up to the capacity; the less fit parents' blocks
+    may be cut to any prefix that holds every live row of both blocks, and
+    matching runs on that prefix of both.  Node genes are matched by key,
+    then connection genes by their (in_key, out_key) pair code.  Coin draws
+    cover a fixed (max_nodes x 4) + (max_conns x 2) grid, ``capacity`` being
+    (max_nodes, max_conns), node coins first, but are only computed at the
+    homologous cells that consume them.
     """
-    n, c = out_nodes.shape[1], out_conns.shape[1]
-    for out, less, identity, first, attrs, capacity in (
+    for out, less, identity, first, attrs, stride in (
             (out_nodes, less_nodes, lambda nodes: nodes[:, :, NODE_KEY], NODE_BIAS,
-             NODE_ATTRS, n),
-            (out_conns, less_conns, pair_codes, CONN_ENABLED, CONN_ATTRS, c)):
+             NODE_ATTRS, capacity[0]),
+            (out_conns, less_conns, pair_codes, CONN_ENABLED, CONN_ATTRS, capacity[1])):
         out = out[:, :less.shape[1]]
         src, has = match_aligned(identity(out), identity(less))
         pm, rm = np.nonzero(has)
         cols = (rm[:, None] * attrs + np.arange(attrs)).ravel()
-        coins = rng.uniforms_at(capacity * attrs, np.repeat(pm, attrs), cols)
+        coins = rng.uniforms_at(stride * attrs, np.repeat(pm, attrs), cols)
         coins = coins.reshape(-1, attrs) < 0.5
         matched = src[pm, rm]
         for attr in range(attrs):
@@ -148,8 +149,8 @@ def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,
             or parent_fit.conns.shape != parent_less.conns.shape:
         raise ShapeMismatch("parents disagree on tensor capacity")
     nodes, conns = parent_fit.nodes.copy(), parent_fit.conns.copy()
-    _crossover_into(nodes[None], conns[None],
-                    parent_less.nodes[None], parent_less.conns[None], rng)
+    _crossover_into(nodes[None], conns[None], parent_less.nodes[None], parent_less.conns[None],
+                    rng, (parent_fit.max_nodes, parent_fit.max_conns))
     return GenomeTensors(nodes, conns, parent_fit.num_inputs, parent_fit.num_outputs)
 
 
@@ -162,27 +163,23 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the five mutation sub-steps to every genome at once, in place.
 
-    Callers pass ``nodes`` and ``conns`` they own, of any capacity.  Sub-step
-    order is fixed: node addition, node deletion, connection addition,
-    connection deletion, attribute perturbation.  Structural steps that
-    cannot proceed (no candidates, capacity full) are silent no-ops.
-    ``new_node_keys`` holds one pre-reserved key per genome, consumed only by
-    a firing node addition.  Returns the same two arrays plus the mask of
-    genomes whose node addition fired.
-
-    Every sub-step runs on the occupied prefix plus the rows this call can
-    fill (one node row; two connection rows for node addition, one for
-    connection addition), clipped to capacity.  Addition fills the first
-    free row, so every write lands inside that view, and a genome has as
-    many free rows as a sub-step needs in the view exactly when it has them
-    in the capacity.  Draws keep the capacity as their stride.
+    Callers pass ``nodes`` and ``conns`` they own, stored at a width that
+    holds every live row plus mutation's headroom (``NODE_HEADROOM`` node
+    rows, ``CONN_HEADROOM`` connection rows), or at the capacity,
+    ``config.max_nodes``/``max_conns``.  Addition fills the first free row,
+    so every write lands inside that width, and a genome has as many free
+    rows as a sub-step needs in it exactly when it has them in the capacity.
+    Draws take the capacity as their stride, not the width.  Sub-step order
+    is fixed: node addition, node deletion, connection addition, connection
+    deletion, attribute perturbation.  Structural steps that cannot proceed
+    (no candidates, capacity full) are silent no-ops.  ``new_node_keys``
+    holds one pre-reserved key per genome, consumed only by a firing node
+    addition.  Returns the same two arrays plus the mask of genomes whose
+    node addition fired.
     """
-    pop, n, _ = nodes.shape
-    c = conns.shape[1]
+    pop = nodes.shape[0]
+    n, c = config.max_nodes, config.max_conns
     n_io = config.inputs + config.outputs
-    arrays = nodes, conns
-    nodes = nodes[:, :min(n, occupied(nodes[:, :, NODE_KEY]) + 1)]
-    conns = conns[:, :min(c, occupied(conns[:, :, CONN_IN]) + 3)]
 
     u_struct = rng.uniforms(4).reshape(pop, 4)
     u_pick = rng.uniforms(4).reshape(pop, 4)
@@ -317,7 +314,7 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
     replace_categorical(NODE_ACT, config.activation_option_ids, config.activation_replace_rate)
     replace_categorical(NODE_AGG, config.aggregation_option_ids, config.aggregation_replace_rate)
 
-    return arrays + (can_add,)
+    return nodes, conns, can_add
 
 
 def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
@@ -326,10 +323,9 @@ def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
 
     Candidates are (source row, target row) pairs of live nodes, enumerated
     row-major.  Reachable sets are bitsets of ``ceil(n / 64)`` words over the
-    ``n`` node rows, which ``mutate_arrays`` has cut to the occupied prefix
-    plus one, so the acyclicity closure pays for little padding.  All
-    quantities here are boolean or integer, hence exact regardless of how
-    the population is batched.
+    ``n`` stored node rows, so the acyclicity closure pays for little
+    padding.  All quantities here are boolean or integer, hence exact
+    regardless of how the population is batched.
     """
     n_io = config.inputs + config.outputs
     n, c = nodes.shape[1], conns.shape[1]
@@ -375,6 +371,9 @@ def _add_connections(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
 def mutate(genome: GenomeTensors, config: NeatConfig, rng: RngStream,
            allocator: NodeKeyAllocator) -> GenomeTensors:
     """Mutate one genome; consumes one allocator key only if node addition fires."""
+    if (genome.max_nodes, genome.max_conns) != (config.max_nodes, config.max_conns):
+        raise ShapeMismatch(f"genome capacity {genome.max_nodes}/{genome.max_conns} differs "
+                            f"from the config's {config.max_nodes}/{config.max_conns}")
     provisional = float(allocator.next_key)
     nodes, conns = genome.nodes.copy(), genome.conns.copy()
     _, _, added = mutate_arrays(nodes[None], conns[None], config, rng, np.array([provisional]))
@@ -487,9 +486,7 @@ def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatCo
     other.
     """
     count = pop.size
-    # one cut to the occupied prefix, so each gather of pending rows copies no padding
-    nodes = pop.nodes[:, :occupied(pop.nodes[:, :, NODE_KEY])]
-    conns = pop.conns[:, :occupied(pop.conns[:, :, CONN_IN])]
+    nodes, conns = pop.nodes, pop.conns
     ordered = sorted(species, key=lambda s: s.species_key)
     next_key = max((sp.species_key for sp in ordered), default=-1) + 1
     # (key, prior state or None for a founder, distances of the genomes it measured)
@@ -610,7 +607,15 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], spawns: dict[
     deterministic (species in key order, elites first).  Every slot owns the
     stream (generation, STAGE_REPRODUCE, slot) and one reserved node key, so
     the result is independent of chunking or thread count.
+
+    The next population is stored at the widths that hold every row live in
+    a parent plus mutation's headroom: a child starts from its fitter
+    parent's rows and gains at most that headroom.
     """
+    capacity = config.max_nodes, config.max_conns
+    if (pop.max_nodes, pop.max_conns) != capacity:
+        raise ShapeMismatch(f"population capacity {pop.max_nodes}/{pop.max_conns} differs "
+                            f"from the config's {capacity[0]}/{capacity[1]}")
     total = config.pop_size
     base_key = allocator.reserve(total)
     new_keys = np.arange(base_key, base_key + total, dtype=np.float64)
@@ -637,11 +642,12 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], spawns: dict[
         raise ExtinctionError(f"spawn counts sum to {slot}, expected {total}")
     pool = np.array(flat_pool, dtype=np.int64) if flat_pool else np.zeros(1, dtype=np.int64)
 
-    out_nodes = np.empty((total,) + pop.nodes.shape[1:])
-    out_conns = np.empty((total,) + pop.conns.shape[1:])
-    # less fit parents are gathered only up to the last row live in any genome
-    less_nodes = pop.nodes[:, :occupied(pop.nodes[:, :, NODE_KEY])]
-    less_conns = pop.conns[:, :occupied(pop.conns[:, :, CONN_IN])]
+    width_nodes = stored_width(pop.nodes, config.max_nodes, NODE_HEADROOM)
+    width_conns = stored_width(pop.conns, config.max_conns, CONN_HEADROOM)
+    out_nodes = np.empty((total, width_nodes, pop.nodes.shape[2]))
+    out_conns = np.empty((total, width_conns, pop.conns.shape[2]))
+    # every parent row that is live somewhere, and padding past it
+    parent_nodes, parent_conns = pop.nodes[:, :width_nodes], pop.conns[:, :width_conns]
     stage = rng.child(STAGE_REPRODUCE)
 
     def work(lo: int, hi: int) -> None:
@@ -656,23 +662,25 @@ def reproduce(pop: PopulationTensors, species: list[SpeciesState], spawns: dict[
         less_pos = np.maximum(a, b)
         fit_idx = pool[fit_pos]
         less_idx = pool[less_pos]
-        # children are built in their rows of the next population; mode="clip"
-        # lets take write into ``out`` without buffering (indices are valid)
+        # children are built in their rows of the next population
         child_nodes = out_nodes[lo:hi]
         child_conns = out_conns[lo:hi]
-        np.take(pop.nodes, fit_idx, axis=0, out=child_nodes, mode="clip")
-        np.take(pop.conns, fit_idx, axis=0, out=child_conns, mode="clip")
-        _crossover_into(child_nodes, child_conns,
-                        less_nodes[less_idx], less_conns[less_idx], streams)
+        for child, parents in ((child_nodes, parent_nodes), (child_conns, parent_conns)):
+            # mode="clip" lets take write into ``out`` without buffering (indices are valid)
+            np.take(parents, fit_idx, axis=0, out=child[:, :parents.shape[1]], mode="clip")
+            child[:, parents.shape[1]:] = np.nan
+        _crossover_into(child_nodes, child_conns, parent_nodes[less_idx],
+                        parent_conns[less_idx], streams, capacity)
         mutate_arrays(child_nodes, child_conns, config, streams, new_keys[lo:hi])
         elites = elite_src[lo:hi]
         mask = elites >= 0
         if mask.any():
-            child_nodes[mask] = pop.nodes[elites[mask]]
-            child_conns[mask] = pop.conns[elites[mask]]
+            # whole rows, so no row mutation wrote survives past a parent's width
+            child_nodes[mask] = with_rows(parent_nodes[elites[mask]], width_nodes)
+            child_conns[mask] = with_rows(parent_conns[elites[mask]], width_conns)
 
     run_chunked(total, threads, sequential, work)
-    return PopulationTensors(out_nodes, out_conns, pop.num_inputs, pop.num_outputs)
+    return PopulationTensors(out_nodes, out_conns, pop.num_inputs, pop.num_outputs, *capacity)
 
 
 # ---------------------------------------------------------------------------

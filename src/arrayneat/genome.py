@@ -7,6 +7,13 @@ activation_id) and a connection tensor of shape (max_conns, 4) with columns
 no NaN anywhere.  Removal leaves NaN holes in place and addition fills the
 first hole, so row indices of untouched genes are stable across edits.
 
+A population stores only the first rows of that capacity, its stored width:
+every row live in any genome plus the rows one round of mutation can fill,
+capped at the capacity.  The rows past it are padding in every genome, so
+``PopulationTensors.genome`` restores the full (max_nodes, 5) and
+(max_conns, 4) shapes by appending NaN rows.  The capacity stays the bound
+on live rows and the stride of every per-row random draw.
+
 Input nodes always carry keys 0..I-1 and output nodes keys I..I+O-1.
 
 All operations are pure: they return new values and never mutate arguments.
@@ -35,6 +42,11 @@ CONN_IN, CONN_OUT, CONN_ENABLED, CONN_WEIGHT = range(4)
 
 NODE_ATTRS = 4   # bias, response, aggregation_id, activation_id
 CONN_ATTRS = 2   # enabled, weight
+
+# rows one round of mutation can fill: one node row, and two connection rows
+# for node addition plus one for connection addition
+NODE_HEADROOM = 1
+CONN_HEADROOM = 3
 
 
 @dataclass(frozen=True)
@@ -83,18 +95,37 @@ class GenomeTensors:
 
 @dataclass(eq=False)
 class PopulationTensors:
-    """Genome tensors stacked along a population axis."""
-    nodes: np.ndarray       # (P, max_nodes, 5)
-    conns: np.ndarray       # (P, max_conns, 4)
+    """Genome tensors stacked along a population axis, at a stored width.
+
+    ``nodes`` and ``conns`` hold the first rows of each genome's tensors, up
+    to ``max_nodes`` and ``max_conns``, the capacity; the rows past them are
+    padding.  The capacity defaults to the stored widths, a population held
+    at full capacity.  ``genome`` pads one genome back to the capacity.
+    """
+    nodes: np.ndarray       # (P, stored node rows, 5)
+    conns: np.ndarray       # (P, stored connection rows, 4)
     num_inputs: int
     num_outputs: int
+    max_nodes: int | None = None
+    max_conns: int | None = None
+
+    def __post_init__(self):
+        if self.max_nodes is None:
+            self.max_nodes = self.nodes.shape[1]
+        if self.max_conns is None:
+            self.max_conns = self.conns.shape[1]
+        if self.nodes.shape[1] > self.max_nodes or self.conns.shape[1] > self.max_conns:
+            raise ShapeMismatch(
+                f"stored widths {self.nodes.shape[1]}/{self.conns.shape[1]} exceed the "
+                f"capacity {self.max_nodes}/{self.max_conns}")
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
 
     def genome(self, index: int) -> GenomeTensors:
-        return GenomeTensors(self.nodes[index].copy(), self.conns[index].copy(),
+        return GenomeTensors(with_rows(self.nodes[index], self.max_nodes),
+                             with_rows(self.conns[index], self.max_conns),
                              self.num_inputs, self.num_outputs)
 
     @classmethod
@@ -124,43 +155,52 @@ def genomes_equal(a: GenomeTensors, b: GenomeTensors) -> bool:
 # ---------------------------------------------------------------------------
 
 def init_arrays(config: NeatConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Node/connection tensors for freshly initialized genomes.
+    """Node/connection tensors for freshly initialized genomes, at the stored width.
 
     ``rng`` may be a batched stream; leading dimensions of the result follow
-    its batch shape.  Attribute draws use fixed-size grids over the full
-    capacity so batched and single-genome initialization consume identical
-    counters.
+    its batch shape.  Attribute draws take their cells from fixed-size grids
+    over the full capacity, so batched and single-genome initialization
+    consume identical counters; only the cells of live genes are computed.
     """
     n_in, n_out = config.inputs, config.outputs
     n_io = n_in + n_out
+    n_full = n_in * n_out
     batch = rng.batch_shape
+    streams = math.prod(batch)
 
-    bias = config.bias_init_mean + config.bias_init_std * rng.normals(config.max_nodes)
-    response = config.response_init_mean + config.response_init_std * rng.normals(config.max_nodes)
-    weight = config.weight_init_mean + config.weight_init_std * rng.normals(config.max_conns)
+    def draw(width: int, cells: int, mean: float, std: float) -> np.ndarray:
+        # cells 0..cells-1 of every stream's row of the grid normals(width) returns
+        rows = np.repeat(np.arange(streams), cells)
+        cols = np.tile(np.arange(cells), streams)
+        return (mean + std * rng.normals_at(width, rows, cols)).reshape(batch + (cells,))
 
-    nodes = np.full(batch + (config.max_nodes, 5), np.nan)
+    bias = draw(config.max_nodes, n_io, config.bias_init_mean, config.bias_init_std)
+    response = draw(config.max_nodes, n_io, config.response_init_mean,
+                    config.response_init_std)
+    weight = draw(config.max_conns, n_full, config.weight_init_mean, config.weight_init_std)
+
+    nodes = np.full(batch + (min(config.max_nodes, n_io + NODE_HEADROOM), 5), np.nan)
     nodes[..., :n_io, NODE_KEY] = np.arange(n_io, dtype=np.float64)
-    nodes[..., :n_io, NODE_BIAS] = bias[..., :n_io]
-    nodes[..., :n_io, NODE_RESPONSE] = response[..., :n_io]
+    nodes[..., :n_io, NODE_BIAS] = bias
+    nodes[..., :n_io, NODE_RESPONSE] = response
     nodes[..., :n_io, NODE_AGG] = float(config.aggregation_default_id)
     nodes[..., :n_io, NODE_ACT] = float(config.activation_default_id)
 
-    n_full = n_in * n_out
     in_keys = np.repeat(np.arange(n_in, dtype=np.float64), n_out)
     out_keys = np.tile(np.arange(n_in, n_io, dtype=np.float64), n_in)
-    conns = np.full(batch + (config.max_conns, 4), np.nan)
+    conns = np.full(batch + (min(config.max_conns, n_full + CONN_HEADROOM), 4), np.nan)
     conns[..., :n_full, CONN_IN] = in_keys
     conns[..., :n_full, CONN_OUT] = out_keys
     conns[..., :n_full, CONN_ENABLED] = 1.0
-    conns[..., :n_full, CONN_WEIGHT] = weight[..., :n_full]
+    conns[..., :n_full, CONN_WEIGHT] = weight
     return nodes, conns
 
 
 def init_genome(config: NeatConfig, rng: RngStream) -> GenomeTensors:
     """Fresh genome: inputs and outputs fully connected, the rest padding."""
     nodes, conns = init_arrays(config, rng)
-    return GenomeTensors(nodes, conns, config.inputs, config.outputs)
+    return GenomeTensors(with_rows(nodes, config.max_nodes), with_rows(conns, config.max_conns),
+                         config.inputs, config.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +216,20 @@ def occupied(keys: np.ndarray) -> int:
     """
     rows = np.flatnonzero(~np.isnan(keys).all(axis=0))
     return int(rows[-1]) + 1 if rows.size else 0
+
+
+def stored_width(block: np.ndarray, capacity: int, headroom: int) -> int:
+    """The width that holds every row live in any genome of a (P, rows, k) node or
+    connection ``block`` plus ``headroom`` rows, capped at ``capacity``."""
+    return min(capacity, occupied(block[:, :, 0]) + headroom)  # NODE_KEY, CONN_IN
+
+
+def with_rows(block: np.ndarray, rows: int) -> np.ndarray:
+    """A new (..., rows, k) array: the first rows of (..., w, k) ``block``, NaN past w."""
+    out = np.full(block.shape[:-2] + (rows, block.shape[-1]), np.nan)
+    kept = min(rows, block.shape[-2])
+    out[..., :kept, :] = block[..., :kept, :]
+    return out
 
 
 def _first_padding_row(tensor: np.ndarray) -> int:
@@ -344,11 +398,16 @@ def check_integrity(genome: GenomeTensors, exc: type[Exception] = IntegrityError
 
 def check_blocks(nodes: np.ndarray, conns: np.ndarray, num_inputs: int, num_outputs: int,
                  exc: type[Exception] = IntegrityError, name: str | None = None) -> None:
-    """``check_integrity`` of every genome of (P, max_nodes, 5) and (P, max_conns, 4)
-    blocks, one array pass per rule; ``name`` names the first genome that breaks it."""
+    """``check_integrity`` of every genome of (P, node rows, 5) and (P, connection
+    rows, 4) blocks, one array pass per rule; ``name`` names the first genome that
+    breaks it."""
     for kind, tensor in (("node", nodes), ("connection", conns)):
         nan = np.isnan(tensor)
-        _refuse(nan.any(axis=2) & ~nan.all(axis=2), f"{kind} row {{}} mixes NaN and live entries",
+        # an or-loop over the columns: numpy reduces a 4- or 5-wide last axis slowly
+        mixed = nan[:, :, 1] != nan[:, :, 0]
+        for col in range(2, tensor.shape[2]):
+            mixed |= nan[:, :, col] != nan[:, :, 0]
+        _refuse(mixed, f"{kind} row {{}} mixes NaN and live entries",
                 exc, name, np.broadcast_to(np.arange(tensor.shape[1]), nan.shape[:2]))
     # rows past the last live one are padding now, so the rules read the prefix
     nodes = nodes[:, :occupied(nodes[:, :, NODE_KEY])]

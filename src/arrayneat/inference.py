@@ -43,7 +43,7 @@ from .errors import ConfigError, CycleDetected, InvalidInput
 from .functions import ACTIVATIONS, AGGREGATIONS
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
-                     GenomeTensors, PopulationTensors, occupied)
+                     GenomeTensors, PopulationTensors, occupied, with_rows)
 from .search import bitset_members, bitsets, rows_of_io_keys
 
 
@@ -180,28 +180,29 @@ def _compile(nodes: np.ndarray, order: np.ndarray, input_rows: np.ndarray,
 # transform
 # ---------------------------------------------------------------------------
 
-def transform_arrays(nodes: np.ndarray, conns: np.ndarray,
-                     num_inputs: int, num_outputs: int) -> tuple[StackedNetworks, np.ndarray]:
+def transform_arrays(nodes: np.ndarray, conns: np.ndarray, num_inputs: int,
+                     num_outputs: int, max_nodes: int) -> tuple[StackedNetworks, np.ndarray]:
     """Kahn's algorithm over every genome at once, compiled into the sweep.
 
     Ties break toward the smallest node row index, which makes the order (and
-    therefore every later floating-point sweep) deterministic.  Connections
-    are read up to the last row live in any genome, and nodes up to a width
-    that covers every live row, which is also the node width of the returned
-    stack.  Successor sets are bitsets of ``ceil(width / 64)`` words, so one
-    code path serves every node capacity.  Returns the stacked networks plus
-    the indices of genomes whose enabled connections contain a cycle (their
-    order is left incomplete).
+    therefore every later floating-point sweep) deterministic.  The blocks
+    may be stored at any width that holds every live row; ``max_nodes`` is
+    the node capacity.  Connections are read up to the last row live in any
+    genome, and nodes up to a width that covers every live row, which is
+    also the node width of the returned stack.  Successor sets are bitsets of
+    ``ceil(width / 64)`` words, so one code path serves every node capacity.
+    Returns the stacked networks plus the indices of genomes whose enabled
+    connections contain a cycle (their order is left incomplete).
     """
-    pop, capacity, _ = nodes.shape
+    pop = nodes.shape[0]
     # the node width that forward reduces over: the occupied rows rounded up to
     # a multiple of 8.  numpy sums up to 128 elements pairwise in 8 lanes, so a
     # zero-padded row then sums to the bits of the capacity-wide sum, whatever
     # batch the genome is in.  Above 128 it sums in halves, so wider
-    # capacities keep their full width.
+    # capacities keep their full width.  A width past the stored rows is padding.
     rounded = -(-occupied(nodes[:, :, NODE_KEY]) // 8) * 8
-    n = capacity if capacity > 128 else min(capacity, rounded)
-    nodes = nodes[:, :n]
+    n = max_nodes if max_nodes > 128 else min(max_nodes, rounded)
+    nodes = nodes[:, :n] if n <= nodes.shape[1] else with_rows(nodes, n)
     conns = conns[:, :occupied(conns[:, :, CONN_IN])]
     keys = nodes[:, :, NODE_KEY]
     live_node = ~np.isnan(keys)
@@ -249,7 +250,7 @@ def transform(genome: GenomeTensors) -> StackedNetworks:
     """Transform one genome into a stack of one; raises CycleDetected on an enabled
     cycle and ConfigError on a function code outside the tables."""
     stacked, cyclic = transform_arrays(genome.nodes[None], genome.conns[None],
-                                       genome.num_inputs, genome.num_outputs)
+                                       genome.num_inputs, genome.num_outputs, genome.max_nodes)
     if cyclic.size:
         raise CycleDetected("enabled connections contain a directed cycle")
     return stacked
@@ -258,7 +259,8 @@ def transform(genome: GenomeTensors) -> StackedNetworks:
 def population_transform(pop: PopulationTensors) -> StackedNetworks:
     """Transform every genome; aggregates per-genome cycle failures, and raises
     ConfigError on a function code outside the tables."""
-    stacked, cyclic = transform_arrays(pop.nodes, pop.conns, pop.num_inputs, pop.num_outputs)
+    stacked, cyclic = transform_arrays(pop.nodes, pop.conns, pop.num_inputs, pop.num_outputs,
+                                       pop.max_nodes)
     if cyclic.size:
         raise CycleDetected(
             f"enabled connections contain a directed cycle in genomes {cyclic.tolist()}",

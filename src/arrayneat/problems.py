@@ -220,7 +220,7 @@ class Problem:
 
         def work(lo: int, hi: int) -> None:
             stacked, cyclic = transform_arrays(pop.nodes[lo:hi], pop.conns[lo:hi],
-                                               pop.num_inputs, pop.num_outputs)
+                                               pop.num_inputs, pop.num_outputs, pop.max_nodes)
             if cyclic.size:
                 bad = (cyclic + lo).tolist()
                 raise CycleDetected(f"cyclic genomes at indices {bad}", genome_indices=bad)

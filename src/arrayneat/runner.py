@@ -26,8 +26,9 @@ from .config import NeatConfig, dump_config, parse_config_text
 from .errors import ConfigError, IntegrityError
 from .evolution import (STAGE_INIT, GenerationStats, NodeKeyAllocator,
                         SpeciesState, evolve_step, speciate)
-from .genome import (NODE_KEY, GenomeTensors, PopulationTensors, check_blocks,
-                     init_arrays, serialize_genome)
+from .genome import (CONN_HEADROOM, NODE_HEADROOM, NODE_KEY, GenomeTensors,
+                     PopulationTensors, check_blocks, init_arrays, serialize_genome,
+                     stored_width, with_rows)
 from .problems import make_problem
 from .rng import RngStream
 from .search import PAIR_SHIFT
@@ -57,7 +58,8 @@ def init_state(config: NeatConfig) -> EvolutionState:
     root = RngStream(config.seed)
     streams = root.child(0, STAGE_INIT).split(np.arange(config.pop_size))
     nodes, conns = init_arrays(config, streams)
-    pop = PopulationTensors(nodes, conns, config.inputs, config.outputs)
+    pop = PopulationTensors(nodes, conns, config.inputs, config.outputs,
+                            config.max_nodes, config.max_conns)
     _, species = speciate(pop, [], config)
     allocator = NodeKeyAllocator(next_key=config.inputs + config.outputs)
     return EvolutionState(config=config, population=pop, species=species,
@@ -74,12 +76,15 @@ def _stats_row(generation: int, stats: GenerationStats) -> str:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, state: EvolutionState) -> None:
+    """Pickle ``state``; the population is written at the stored widths of its
+    content (``genome.stored_width``), the representatives at full capacity."""
+    pop = state.population
     payload = {
         "config": dump_config(state.config),
         "generation": state.generation,
         "next_key": state.allocator.next_key,
-        "nodes": state.population.nodes,
-        "conns": state.population.conns,
+        "nodes": with_rows(pop.nodes, stored_width(pop.nodes, pop.max_nodes, NODE_HEADROOM)),
+        "conns": with_rows(pop.conns, stored_width(pop.conns, pop.max_conns, CONN_HEADROOM)),
         "stats_rows": list(state.stats_rows),
         "species": [
             {
@@ -111,14 +116,27 @@ def _with_keys(entry, keys: tuple[str, ...], what: str) -> dict:
     return entry
 
 
-def _with_shape(array, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``array`` if it is a float64 array of ``shape``; else IntegrityError."""
+def _with_shape(array, shapes: list[tuple[int, ...]], what: str) -> np.ndarray:
+    """``array`` if it is a float64 array of one of ``shapes``; else IntegrityError."""
     if not (isinstance(array, np.ndarray) and array.dtype == np.float64
-            and array.shape == shape):
+            and array.shape in shapes):
         found = (f"{array.dtype} array of shape {array.shape}"
                  if isinstance(array, np.ndarray) else type(array).__name__)
-        raise IntegrityError(f"{what} must be a float64 array of shape {shape}, got {found}")
+        raise IntegrityError(f"{what} must be a float64 array of shape "
+                             f"{' or '.join(map(str, dict.fromkeys(shapes)))}, got {found}")
     return array
+
+
+def _population_block(block, pop_size: int, capacity: int, headroom: int, cols: int,
+                      what: str) -> np.ndarray:
+    """``block`` if it is a float64 (pop_size, rows, cols) array whose rows are the
+    width ``save_checkpoint`` writes for its content or, as earlier versions
+    wrote, ``capacity``; else IntegrityError."""
+    width = capacity
+    if (isinstance(block, np.ndarray) and block.dtype == np.float64 and block.ndim == 3
+            and block.shape[2] > 0):
+        width = stored_width(block, capacity, headroom)
+    return _with_shape(block, [(pop_size, width, cols), (pop_size, capacity, cols)], what)
 
 
 def _members(members, pop_size: int, what: str) -> np.ndarray:
@@ -163,7 +181,8 @@ def load_checkpoint(path) -> EvolutionState:
     Bytes that do not unpickle, payloads that lack a key ``save_checkpoint``
     writes (a checkpoint of an earlier format, say), and values a run could
     not have written are rejected, not converted: a config that is not text,
-    node and connection blocks whose shape differs from the config's, genomes
+    node and connection blocks at another width than their content's stored
+    width or the config's capacity, or of another population size, genomes
     or representatives that ``check_integrity`` refuses, a negative or
     fractional generation, stats rows that do not number one per generation,
     a next node key at or below a live key, species keys that repeat, and
@@ -194,19 +213,20 @@ def load_checkpoint(path) -> EvolutionState:
             and all(isinstance(row, str) for row in stats_rows)):
         raise IntegrityError(f"{where} stats_rows must be a list of {generation} strings, "
                              f"one per generation")
-    nodes_shape, conns_shape = (config.max_nodes, 5), (config.max_conns, 4)
     population = PopulationTensors(
-        _with_shape(payload["nodes"], (config.pop_size, *nodes_shape), f"{where} nodes"),
-        _with_shape(payload["conns"], (config.pop_size, *conns_shape), f"{where} conns"),
-        config.inputs, config.outputs)
+        _population_block(payload["nodes"], config.pop_size, config.max_nodes, NODE_HEADROOM,
+                          5, f"{where} nodes"),
+        _population_block(payload["conns"], config.pop_size, config.max_conns, CONN_HEADROOM,
+                          4, f"{where} conns"),
+        config.inputs, config.outputs, config.max_nodes, config.max_conns)
     species = []
     for i, entry in enumerate(entries):
         what = f"{where} species {i}"
         species.append(SpeciesState(
             species_key=_integer(entry["species_key"], f"{what} species_key", 0),
             representative=GenomeTensors(
-                _with_shape(entry["rep_nodes"], nodes_shape, f"{what} rep_nodes"),
-                _with_shape(entry["rep_conns"], conns_shape, f"{what} rep_conns"),
+                _with_shape(entry["rep_nodes"], [(config.max_nodes, 5)], f"{what} rep_nodes"),
+                _with_shape(entry["rep_conns"], [(config.max_conns, 4)], f"{what} rep_conns"),
                 config.inputs, config.outputs),
             member_indices=_members(entry["member_indices"], config.pop_size,
                                     f"{what} member_indices"),

@@ -9,7 +9,8 @@ from arrayneat import (ConnRow, GenomeTensors, NeatConfig, NodeKeyAllocator, Nod
                        PopulationTensors, RngStream, add_conn, add_node, init_genome,
                        remove_conn, remove_node, set_conn_attr, set_node_attr)
 from arrayneat.evolution import mutate_arrays
-from arrayneat.genome import CONN_ENABLED, CONN_IN, CONN_OUT, NODE_KEY, init_arrays
+from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, NODE_KEY, init_arrays,
+                              with_rows)
 
 
 def make_config(**overrides) -> NeatConfig:
@@ -143,10 +144,12 @@ def random_genome(seed: int, config: NeatConfig, n_ops: int = 25) -> GenomeTenso
 
 
 def grown_population(config: NeatConfig, rounds: int, seed: int = 0) -> PopulationTensors:
-    """Fresh population after ``rounds`` of batched mutation under ``config``."""
+    """Fresh population after ``rounds`` of batched mutation under ``config``, held
+    at full capacity."""
     pop_size = config.pop_size
     slots = np.arange(pop_size)
     nodes, conns = init_arrays(config, RngStream(seed).child(0, 0).split(slots))
+    nodes, conns = with_rows(nodes, config.max_nodes), with_rows(conns, config.max_conns)
     allocator = NodeKeyAllocator(config.inputs + config.outputs)
     for generation in range(1, rounds + 1):
         base = allocator.reserve(pop_size)

@@ -98,7 +98,8 @@ def test_oracle_equivalence_inference(genome_corpus):
     """Tensorized forward vs graph oracle: 1e-9 over 1000 genomes x 10 inputs."""
     config, pop = genome_corpus
     started = time.perf_counter()
-    stacked, cyclic = transform_arrays(pop.nodes, pop.conns, config.inputs, config.outputs)
+    stacked, cyclic = transform_arrays(pop.nodes, pop.conns, config.inputs, config.outputs,
+                                       pop.max_nodes)
     assert cyclic.size == 0
     inputs = RngStream(7).child(9).normals(pop.size, 10, config.inputs) \
         .reshape(pop.size, 10, config.inputs)

@@ -8,7 +8,7 @@ import pytest
 from arrayneat import (ConfigError, RngStream, init_genome,
                        parse_config_text, serialize_genome)
 from arrayneat.cli import main
-from arrayneat.genome import CONN_ENABLED, CONN_IN, NODE_BIAS, NODE_KEY
+from arrayneat.genome import CONN_ENABLED, CONN_IN, NODE_BIAS, NODE_KEY, with_rows
 from arrayneat.runner import (EXIT_GENERATION_LIMIT, EXIT_SOLVED, load_checkpoint,
                               run_experiment, save_checkpoint)
 
@@ -212,6 +212,22 @@ def with_earlier_keys(path) -> None:
     path.write_bytes(pickle.dumps(data))
 
 
+def at_full_capacity(path) -> None:
+    """Pad the population to the config's capacity, as earlier versions wrote it."""
+    data = pickle.loads(path.read_bytes())
+    config = parse_config_text(data["config"])
+    data["nodes"] = with_rows(data["nodes"], config.max_nodes)
+    data["conns"] = with_rows(data["conns"], config.max_conns)
+    path.write_bytes(pickle.dumps(data))
+
+
+def wider(block, rows):
+    """Damage that appends ``rows`` padding rows to the population's ``block``."""
+    def change(data):
+        data[block] = with_rows(data[block], data[block].shape[1] + rows)
+    return change
+
+
 def edited(change):
     """Damage that unpickles a checkpoint, applies ``change`` to its payload and re-pickles it."""
     def damage(payload: bytes) -> bytes:
@@ -254,10 +270,14 @@ def set_cell(block, index, value):
 
 
 def plant_key(block):
-    """A live node key equal to ``next_key`` in genome 0's last row, or the first representative's."""
+    """A live node key equal to ``next_key`` in genome 0's last row live in any genome
+    (a row past it would change the stored width), or the first representative's last row."""
     def change(data):
-        nodes = data["nodes"][0] if block == "nodes" else data["species"][0][block]
-        nodes[-1, NODE_KEY] = data["next_key"]
+        if block == "nodes":
+            row = np.flatnonzero(~np.isnan(data["nodes"][:, :, NODE_KEY]).all(axis=0))[-1]
+            data["nodes"][0, row, NODE_KEY] = data["next_key"]
+        else:
+            data["species"][0][block][-1, NODE_KEY] = data["next_key"]
     return change
 
 
@@ -267,6 +287,24 @@ class TestResume:
 
     def test_checkpoint_with_earlier_keys_resumes_bitwise(self, tmp_path):
         self.check_resume(tmp_path, with_earlier_keys)
+
+    def test_full_capacity_checkpoint_resumes_bitwise(self, tmp_path):
+        self.check_resume(tmp_path, at_full_capacity)
+
+    def test_checkpoint_holds_the_stored_width(self, tmp_path):
+        config = make_config(pop_size=10, generation_limit=3, fitness_target=float("inf"))
+        run_experiment(config, tmp_path / "run")
+        data = pickle.loads((tmp_path / "run/checkpoint.pkl").read_bytes())
+        for block, capacity, headroom in ((data["nodes"], config.max_nodes, 1),
+                                          (data["conns"], config.max_conns, 3)):
+            occupied = np.flatnonzero(~np.isnan(block[:, :, 0]).all(axis=0))[-1] + 1
+            assert block.shape[1] == min(capacity, occupied + headroom) < capacity
+        for entry in data["species"]:
+            assert entry["rep_nodes"].shape == (config.max_nodes, 5)
+            assert entry["rep_conns"].shape == (config.max_conns, 4)
+        state = load_checkpoint(tmp_path / "run/checkpoint.pkl")
+        assert state.population.genome(0).nodes.shape == (config.max_nodes, 5)
+        assert state.population.genome(0).conns.shape == (config.max_conns, 4)
 
     def check_resume(self, tmp_path, edit=None):
         full_cfg = make_config(seed=5, pop_size=25, generation_limit=12,
@@ -300,6 +338,8 @@ class TestResume:
         (edited(lambda data: data.update(nodes=data["nodes"][:5])), "nodes must be"),
         (edited(lambda data: data.update(nodes=data["nodes"][:, :3])), "nodes must be"),
         (edited(lambda data: data.update(conns=data["conns"][..., :3])), "conns must be"),
+        (edited(wider("nodes", 50)), "nodes must be"),
+        (edited(wider("conns", 50)), "conns must be"),
         (edited(lambda data: data["species"][0].update(rep_nodes=np.zeros((2, 5)))),
          "rep_nodes must be"),
         (edited(set_value(generation="1")), "generation must be an integer >= 0"),
@@ -346,6 +386,7 @@ class TestResume:
          "genome 1: input or output node key 0 is missing"),
     ], ids=["truncated", "garbage", "earlier-format", "member-past-population",
             "member-negative", "nodes-of-fewer-genomes", "nodes-narrowed", "conns-narrowed",
+            "nodes-past-capacity", "conns-past-capacity",
             "representative-narrowed", "generation-string", "generation-negative",
             "generation-fraction", "generation-bool", "stats-rows-none", "stats-rows-short",
             "next-key-below-io", "next-key-fraction", "next-key-past-2**26",

@@ -10,7 +10,8 @@ from arrayneat import (CapacityFull, ConnRow, DanglingEndpoint, DuplicateConn,
                        count_live, genomes_equal, init_genome,
                        parse_genome, remove_conn, remove_node, serialize_genome,
                        set_conn_attr, set_node_attr)
-from arrayneat.genome import CONN_ENABLED, CONN_WEIGHT, NODE_BIAS, NODE_KEY
+from arrayneat.genome import (CONN_ENABLED, CONN_WEIGHT, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
+                              check_blocks, init_arrays)
 
 from conftest import (dfs_has_cycle, live_conn_pairs, live_node_keys,
                       make_config, random_genome, random_valid_op)
@@ -51,6 +52,28 @@ class TestInit:
         config = make_config()
         assert genomes_equal(init_genome(config, stream(9)), init_genome(config, stream(9)))
         assert not genomes_equal(init_genome(config, stream(9)), init_genome(config, stream(10)))
+
+    @pytest.mark.parametrize("batch", [None, 6])
+    def test_draws_equal_the_dense_capacity_grids(self, batch):
+        config = make_config(inputs=3, outputs=2, max_nodes=9, max_conns=11,
+                             bias_init_std=1.0, response_init_mean=1.0,
+                             response_init_std=0.5, weight_init_std=2.0)
+        def streams():
+            rng = RngStream(4).child(0, 0)
+            return rng if batch is None else rng.split(np.arange(batch))
+        sparse, dense = streams(), streams()
+        nodes, conns = init_arrays(config, sparse)
+        bias = config.bias_init_mean + config.bias_init_std * dense.normals(config.max_nodes)
+        response = (config.response_init_mean
+                    + config.response_init_std * dense.normals(config.max_nodes))
+        weight = config.weight_init_mean + config.weight_init_std * dense.normals(config.max_conns)
+        assert sparse._counter == dense._counter
+        # the first population is stored at its live rows plus mutation's headroom
+        assert nodes.shape[-2:] == (5 + 1, 5) and conns.shape[-2:] == (6 + 3, 4)
+        for got, want in ((nodes[..., :5, NODE_BIAS], bias[..., :5]),
+                          (nodes[..., :5, NODE_RESPONSE], response[..., :5]),
+                          (conns[..., :6, CONN_WEIGHT], weight[..., :6])):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestAddRemoveNode:
@@ -236,6 +259,20 @@ class TestFromGenomes:
             PopulationTensors.from_genomes([fresh_genome, wider])
 
 
+class TestStoredWidth:
+    def test_genome_pads_back_to_the_capacity(self, fresh_genome):
+        pop = PopulationTensors(fresh_genome.nodes[None, :4], fresh_genome.conns[None, :5], 2, 1,
+                                fresh_genome.max_nodes, fresh_genome.max_conns)
+        assert genomes_equal(pop.genome(0), fresh_genome)
+        full = PopulationTensors.from_genomes([fresh_genome])
+        assert (full.max_nodes, full.max_conns) == (fresh_genome.max_nodes, fresh_genome.max_conns)
+
+    def test_wider_than_the_capacity_is_a_shape_mismatch(self, fresh_genome):
+        with pytest.raises(ShapeMismatch, match="exceed the capacity"):
+            PopulationTensors(fresh_genome.nodes[None], fresh_genome.conns[None], 2, 1,
+                              fresh_genome.max_nodes - 1, fresh_genome.max_conns)
+
+
 class TestCountLive:
     def test_fresh(self, fresh_genome):
         assert count_live(fresh_genome) == (3, 2)
@@ -302,6 +339,20 @@ class TestSerialization:
             else:
                 with pytest.raises(ParseError, match=r"2\*\*26"):
                     parse_genome(data)
+
+    # a padding row given one number, or a live row given one NaN
+    @pytest.mark.parametrize("block, row, col, value, message", [
+        ("nodes", 3, NODE_KEY, 5.0, "node row 3 mixes NaN and live entries"),
+        ("nodes", 1, NODE_RESPONSE, np.nan, "node row 1 mixes NaN and live entries"),
+        ("conns", 0, CONN_WEIGHT, np.nan, "connection row 0 mixes NaN and live entries"),
+        ("conns", 5, CONN_ENABLED, 1.0, "connection row 5 mixes NaN and live entries"),
+    ])
+    def test_mixed_nan_row_message(self, fresh_genome, block, row, col, value, message):
+        blocks = {"nodes": np.stack([fresh_genome.nodes] * 3),
+                  "conns": np.stack([fresh_genome.conns] * 3)}
+        blocks[block][1, row, col] = value
+        with pytest.raises(IntegrityError, match=f"^genome 1: {message}$"):
+            check_blocks(blocks["nodes"], blocks["conns"], 2, 1, name="genome")
 
     def test_mixed_nan_row_rejected(self, fresh_genome):
         bad = fresh_genome.nodes.copy()

@@ -141,7 +141,8 @@ class TestSweep:
         config = make_config(max_nodes=16, max_conns=40)
         genomes = [random_genome(s, config, n_ops=45) for s in range(40)]
         pop = PopulationTensors.from_genomes(genomes)
-        stacked, cyclic = transform_arrays(pop.nodes, pop.conns, config.inputs, config.outputs)
+        stacked, cyclic = transform_arrays(pop.nodes, pop.conns, config.inputs, config.outputs,
+                                           pop.max_nodes)
         assert cyclic.size == 0
         inputs = np.random.default_rng(5).normal(size=(pop.size, 6, config.inputs)) * 2.0
         return stacked, inputs
@@ -240,8 +241,8 @@ class TestWideCapacity:
 
     def test_order_and_sweep_match_capacity_40(self, spread):
         narrow, wide, rows = spread
-        a, cyclic_a = transform_arrays(narrow.nodes, narrow.conns, 2, 1)
-        b, cyclic_b = transform_arrays(wide.nodes, wide.conns, 2, 1)
+        a, cyclic_a = transform_arrays(narrow.nodes, narrow.conns, 2, 1, narrow.max_nodes)
+        b, cyclic_b = transform_arrays(wide.nodes, wide.conns, 2, 1, wide.max_nodes)
         assert cyclic_a.size == 0 and cyclic_b.size == 0
         # capacity 40 keeps its occupied rows rounded up to a multiple of 8;
         # capacity 130 is past the pairwise-sum block and keeps its full width

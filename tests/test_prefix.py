@@ -64,12 +64,14 @@ def shifted(block: np.ndarray) -> np.ndarray:
 def crossed(nodes, conns, less_nodes, less_conns):
     nodes, conns = nodes.copy(), conns.copy()
     _crossover_into(nodes, conns, less_nodes, less_conns,
-                    RngStream(6).child(1, 2).split(np.arange(len(nodes))))
+                    RngStream(6).child(1, 2).split(np.arange(len(nodes))),
+                    (nodes.shape[1], conns.shape[1]))
     return nodes, conns
 
 
 def forwarded(config, nodes, conns, inputs):
-    stacked, cyclic = transform_arrays(nodes, conns, config.inputs, config.outputs)
+    stacked, cyclic = transform_arrays(nodes, conns, config.inputs, config.outputs,
+                                       config.max_nodes)
     return stacked, cyclic, forward_arrays(stacked, None, inputs)
 
 
