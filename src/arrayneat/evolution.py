@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .genome import (CONN_ATTRS, CONN_ENABLED, CONN_HEADROOM, CONN_IN, CONN_OUT,
                      NODE_KEY, NODE_RESPONSE, GenomeTensors, PopulationTensors,
                      stored_width, with_rows)
 from .parallel import run_chunked
-from .rng import RngStream
+from .rng import RngStream, box_muller
 from .search import (PAIR_SHIFT, bit_address, bitset_members, bitsets, match_aligned,
                      pair_codes, rows_of_io_keys)
 from .search import match_rows  # noqa: F401  (no caller here; benchmark/tracer.py wraps it)
@@ -102,6 +103,19 @@ def _pick_kth_true(mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return hit.argmax(axis=1), count > 0
 
 
+def _draw_grids(rng: RngStream, grids: list[tuple[tuple, int]]) -> list[np.ndarray]:
+    """Cells (rows, cols) of uniform grids of the given widths, laid end to end
+    on the tape in list order, as one uniforms_at call; one array per grid."""
+    if not grids:
+        return []
+    offsets = [0, *accumulate(width for _, width in grids)]
+    rows = np.concatenate([cells[0] for cells, _ in grids])
+    cols = np.concatenate([cells[1] + offset for (cells, _), offset in zip(grids, offsets)])
+    draws = rng.uniforms_at(offsets[-1], rows, cols)
+    ends = [0, *accumulate(cells[0].size for cells, _ in grids)]
+    return [draws[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
 # ---------------------------------------------------------------------------
 # crossover
 # ---------------------------------------------------------------------------
@@ -120,8 +134,9 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
     then connection genes by their (in_key, out_key) pair code.  Coin draws
     cover a fixed (max_nodes x 4) + (max_conns x 2) grid, ``capacity`` being
     (max_nodes, max_conns), node coins first, but are only computed at the
-    homologous cells that consume them.
+    homologous cells that consume them, in one call.
     """
+    blends, grids = [], []
     for out, less, identity, first, attrs, stride in (
             (out_nodes, less_nodes, lambda nodes: nodes[:, :, NODE_KEY], NODE_BIAS,
              NODE_ATTRS, capacity[0]),
@@ -129,14 +144,12 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
         out = out[:, :less.shape[1]]
         src, has = match_aligned(identity(out), identity(less))
         pm, rm = np.nonzero(has)
-        cols = (rm[:, None] * attrs + np.arange(attrs)).ravel()
-        coins = rng.uniforms_at(stride * attrs, np.repeat(pm, attrs), cols)
-        coins = coins.reshape(-1, attrs) < 0.5
-        matched = src[pm, rm]
-        for attr in range(attrs):
-            take = coins[:, attr]
-            col = first + attr
-            out[pm[take], rm[take], col] = less[pm[take], matched[take], col]
+        cols = slice(first, first + attrs)
+        blends.append((out, (pm, rm, cols), less[pm, src[pm, rm], cols]))
+        grids.append(((np.repeat(pm, attrs), (rm[:, None] * attrs + np.arange(attrs)).ravel()),
+                      stride * attrs))
+    for (out, cells, theirs), coins in zip(blends, _draw_grids(rng, grids)):
+        out[cells] = np.where(coins.reshape(theirs.shape) < 0.5, theirs, out[cells])
 
 
 def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,
@@ -181,10 +194,10 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
     n, c = config.max_nodes, config.max_conns
     n_io = config.inputs + config.outputs
 
-    u_struct = rng.uniforms(4).reshape(pop, 4)
-    u_pick = rng.uniforms(4).reshape(pop, 4)
-    z_new_bias = rng.normals(1).reshape(pop)
-    z_new_weight = rng.normals(1).reshape(pop)
+    # the cells of uniforms(4), uniforms(4), normals(1) and normals(1), in one draw
+    u = rng.uniforms(12).reshape(pop, 12)
+    u_struct, u_pick = u[:, :4], u[:, 4:8]
+    z_new_bias, z_new_weight = box_muller(u[:, 8::2], u[:, 9::2]).T
 
     # (1) node addition: split a uniformly chosen enabled connection
     can_add = np.zeros(pop, dtype=bool)
@@ -254,65 +267,59 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
         if sel.size:
             conns[sel, dc_row[has_conn], :] = np.nan
 
-    # (5) attribute perturbation over every live gene
-    live_node = ~np.isnan(nodes[:, :, NODE_KEY])
-    live_conn = ~np.isnan(conns[:, :, CONN_IN])
+    # (5) attribute perturbation over every live gene.  Each draw grid covers
+    # the fixed (pop, capacity) grid.  Tape order: per attribute with a rate
+    # above 0, replace and mutate uniforms, then the Box-Muller pairs of the
+    # noise and of the replacement value whose rate is above 0; the enabled
+    # flip; per categorical attribute replace and choice uniforms.  One call
+    # computes them at live cells only (draws are pure in (key, counter)).
+    node_cells = np.nonzero(~np.isnan(nodes[:, :, NODE_KEY]))
+    conn_cells = np.nonzero(~np.isnan(conns[:, :, CONN_IN]))
+    perturbed = [step for step in (
+        (nodes, NODE_BIAS, node_cells, n, config.bias_replace_rate, config.bias_mutate_rate,
+         config.bias_mutate_power, config.bias_init_mean, config.bias_init_std),
+        (nodes, NODE_RESPONSE, node_cells, n, config.response_replace_rate,
+         config.response_mutate_rate, config.response_mutate_power,
+         config.response_init_mean, config.response_init_std),
+        (conns, CONN_WEIGHT, conn_cells, c, config.weight_replace_rate,
+         config.weight_mutate_rate, config.weight_mutate_power,
+         config.weight_init_mean, config.weight_init_std)) if step[4] > 0.0 or step[5] > 0.0]
+    categorical = [step for step in (
+        (NODE_ACT, config.activation_option_ids, config.activation_replace_rate),
+        (NODE_AGG, config.aggregation_option_ids, config.aggregation_replace_rate))
+        if step[2] > 0.0]
+    grids = []
+    for _, _, cells, width, replace_rate, mutate_rate, *_ in perturbed:
+        grids += [(cells, width)] * (2 + 2 * (mutate_rate > 0.0) + 2 * (replace_rate > 0.0))
+    grids += [(conn_cells, c)] * (config.enabled_mutate_rate > 0.0)
+    grids += [(node_cells, n)] * (2 * len(categorical))
+    draws = iter(_draw_grids(rng, grids))
 
-    def perturb(tensor, col, live, width, replace_rate, mutate_rate, power, mean, std):
-        # draws cover the fixed (pop, capacity) grid but are computed only at
-        # live cells (and noise only at fired cells); results are bitwise
-        # identical to dense drawing because draws are pure in (key, counter)
-        if replace_rate == 0.0 and mutate_rate == 0.0:
-            return
-        pm, cm = np.nonzero(live)
-        u_replace = rng.uniforms_at(width, pm, cm)
-        u_mutate = rng.uniforms_at(width, pm, cm)
-        old = tensor[pm, cm, col]
-        value = old.copy()
-        replaced = u_replace < replace_rate
+    for tensor, col, (pm, cm), _, replace_rate, mutate_rate, power, mean, std in perturbed:
+        value = tensor[pm, cm, col]
+        replaced = next(draws) < replace_rate
+        mutated = ~replaced & (next(draws) < mutate_rate)
         if mutate_rate > 0.0:
-            mutated = ~replaced & (u_mutate < mutate_rate)
-            idx = np.nonzero(mutated)[0]
-            noise = rng.normals_at(width, pm[idx], cm[idx])
-            value[idx] = old[idx] + power * noise
-        else:
-            mutated = np.zeros_like(replaced)
+            idx = np.flatnonzero(mutated)
+            value[idx] += power * box_muller(next(draws)[idx], next(draws)[idx])
         if replace_rate > 0.0:
-            idx = np.nonzero(replaced)[0]
-            fresh = rng.normals_at(width, pm[idx], cm[idx])
-            value[idx] = mean + std * fresh
-        changed = replaced | mutated
+            idx = np.flatnonzero(replaced)
+            value[idx] = mean + std * box_muller(next(draws)[idx], next(draws)[idx])
+        changed = np.flatnonzero(replaced | mutated)
         tensor[pm[changed], cm[changed], col] = np.clip(
             value[changed], config.attr_min, config.attr_max)
 
-    perturb(nodes, NODE_BIAS, live_node, n, config.bias_replace_rate,
-            config.bias_mutate_rate, config.bias_mutate_power,
-            config.bias_init_mean, config.bias_init_std)
-    perturb(nodes, NODE_RESPONSE, live_node, n, config.response_replace_rate,
-            config.response_mutate_rate, config.response_mutate_power,
-            config.response_init_mean, config.response_init_std)
-    perturb(conns, CONN_WEIGHT, live_conn, c, config.weight_replace_rate,
-            config.weight_mutate_rate, config.weight_mutate_power,
-            config.weight_init_mean, config.weight_init_std)
-
     if config.enabled_mutate_rate > 0.0:
-        pm, cm = np.nonzero(live_conn)
-        flip = rng.uniforms_at(c, pm, cm) < config.enabled_mutate_rate
+        pm, cm = conn_cells
+        flip = next(draws) < config.enabled_mutate_rate
         conns[pm[flip], cm[flip], CONN_ENABLED] = 1.0 - conns[pm[flip], cm[flip], CONN_ENABLED]
 
-    def replace_categorical(col, options, rate):
-        if rate == 0.0:
-            return
-        pm, cm = np.nonzero(live_node)
-        u_replace = rng.uniforms_at(n, pm, cm)
-        u_choice = rng.uniforms_at(n, pm, cm)
+    for col, options, rate in categorical:
+        pm, cm = node_cells
+        hit = next(draws) < rate
         table = np.asarray(options, dtype=np.float64)
-        idx = np.minimum((u_choice * table.size).astype(np.int64), table.size - 1)
-        hit = u_replace < rate
+        idx = np.minimum((next(draws) * table.size).astype(np.int64), table.size - 1)
         nodes[pm[hit], cm[hit], col] = table[idx[hit]]
-
-    replace_categorical(NODE_ACT, config.activation_option_ids, config.activation_replace_rate)
-    replace_categorical(NODE_AGG, config.aggregation_option_ids, config.aggregation_replace_rate)
 
     return nodes, conns, can_add
 

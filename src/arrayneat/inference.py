@@ -43,7 +43,7 @@ from .errors import ConfigError, CycleDetected, InvalidInput
 from .functions import ACTIVATIONS, AGGREGATIONS
 from .genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
                      NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE,
-                     GenomeTensors, PopulationTensors, occupied, with_rows)
+                     GenomeTensors, PopulationTensors, occupied)
 from .search import bitset_members, bitsets, rows_of_io_keys
 
 
@@ -80,8 +80,9 @@ class StackedNetworks:
     """Transformed networks as stacked arrays, one per genome; a single
     transformed genome is a stack of one.
 
-    The node axis has the transform's node width ``n``, which covers every
-    live node row of the batch and may be less than the capacity.  The sweep
+    ``order`` and the sweep have the transform's node width ``n``, which
+    covers every live node row of the batch and may be less than the
+    capacity; ``nodes`` keeps at most ``n`` stored rows.  The sweep
     is ``sweep_rows`` and ``sweep_weights``: ``sweep_rows[p, s]`` is the
     node row genome p computes at column s, or n where p has fewer than S
     non-input live nodes.  ``sweep_weights[p, s, j]`` is the weight of
@@ -91,7 +92,7 @@ class StackedNetworks:
     row, ``p * n + row`` for node ``row`` of genome p and ``P * n`` for the
     scratch cell, so a stack may be shared across threads.
     """
-    nodes: np.ndarray          # (P, n, 5)
+    nodes: np.ndarray          # (P, <= n, 5)
     order: np.ndarray          # (P, n) topological order of live rows, NaN padded
     input_rows: np.ndarray     # (P, I)
     output_rows: np.ndarray    # (P, O)
@@ -106,9 +107,8 @@ class StackedNetworks:
         pop, n = self.order.shape
         active = self.sweep_rows < n
         # a genome with no node in a column computes act(0 + 0 * 0) into the scratch cell
-        node = np.where(active[:, :, None],
-                        self.nodes[np.arange(pop)[:, None], np.minimum(self.sweep_rows, n - 1)],
-                        0.0)
+        rows = np.minimum(self.sweep_rows, self.nodes.shape[1] - 1)  # inside the stored rows
+        node = np.where(active[:, :, None], self.nodes[np.arange(pop)[:, None], rows], 0.0)
         aggregations = _codes_by_column(node[:, :, NODE_AGG], active, AGGREGATIONS,
                                         "aggregation")
         activations = _codes_by_column(node[:, :, NODE_ACT], active, ACTIVATIONS, "activation")
@@ -199,12 +199,14 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray, num_inputs: int,
     # a multiple of 8.  numpy sums up to 128 elements pairwise in 8 lanes, so a
     # zero-padded row then sums to the bits of the capacity-wide sum, whatever
     # batch the genome is in.  Above 128 it sums in halves, so wider
-    # capacities keep their full width.  A width past the stored rows is padding.
+    # capacities keep their full width.  Rows past the stored ones are padding,
+    # and only the key column is padded to read them.
     rounded = -(-occupied(nodes[:, :, NODE_KEY]) // 8) * 8
     n = max_nodes if max_nodes > 128 else min(max_nodes, rounded)
-    nodes = nodes[:, :n] if n <= nodes.shape[1] else with_rows(nodes, n)
+    nodes = nodes[:, :n]
     conns = conns[:, :occupied(conns[:, :, CONN_IN])]
-    keys = nodes[:, :, NODE_KEY]
+    keys = np.full((pop, n), np.nan)
+    keys[:, :nodes.shape[1]] = nodes[:, :, NODE_KEY]
     live_node = ~np.isnan(keys)
     enabled = ~np.isnan(conns[:, :, CONN_IN]) & (conns[:, :, CONN_ENABLED] == 1.0)
 

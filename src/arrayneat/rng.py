@@ -34,7 +34,7 @@ def _unit(bits: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """One standard normal per pair of uniforms."""
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
@@ -108,7 +108,7 @@ class RngStream:
         """Standard normals via Box-Muller, two uniforms per value."""
         n = int(np.prod(shape)) if shape else 1
         u = _unit(self._raw(2 * n))
-        return _box_muller(u[:, :n], u[:, n:]).reshape(self.batch_shape + tuple(shape))
+        return box_muller(u[:, :n], u[:, n:]).reshape(self.batch_shape + tuple(shape))
 
     # -- sparse draws --------------------------------------------------------
     #
@@ -132,8 +132,8 @@ class RngStream:
         base = self._counter
         self._counter += 2 * width
         cols = np.asarray(cols, dtype=np.uint64)
-        return _box_muller(_unit(self._cell_bits(base, rows, cols)),
-                           _unit(self._cell_bits(base, rows, cols + np.uint64(width))))
+        return box_muller(_unit(self._cell_bits(base, rows, cols)),
+                          _unit(self._cell_bits(base, rows, cols + np.uint64(width))))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.master_seed}, path={self.path}, batch={self.batch_shape})"

@@ -7,12 +7,11 @@ match blocks row by row through three entry points, each with one cheap
 first guess: ``match_aligned`` guesses the same column (genes of related
 genomes usually sit at the same row), ``rows_of_io_keys`` guesses row = key
 for input/output keys, and ``match_rows`` guesses nothing.  Every query its
-guess leaves unfound goes through one shared step that sorts each row's codes
-and binary-searches them.  Distance does not use this step: it looks each
-live gene up among another genome's sorted live codes
-(``evolution.distance_arrays``).  Everything here is integer or boolean work,
-so results are exact and identical no matter how the population is batched
-or chunked.
+guess leaves unfound goes through one shared step that compares it with every
+code of its row.  Distance does not use this step: it looks each live gene up
+among another genome's sorted live codes (``evolution.distance_arrays``).
+Everything here is integer or boolean work, so results are exact and
+identical no matter how the population is batched or chunked.
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ import numpy as np
 # connection identity: in_key * PAIR_SHIFT + out_key; exact in float64 while
 # keys stay below 2**26, which NodeKeyAllocator and check_integrity enforce
 PAIR_SHIFT = float(2 ** 26)
+
+# the most query-by-code cells one compare of ``_search_unfound`` holds
+_COMPARE_CELLS = 2 ** 20
 
 
 # node sets as bitsets: a set over ``width`` members is ceil(width / 64)
@@ -55,32 +57,21 @@ def pair_codes(conns: np.ndarray) -> np.ndarray:
 
 def _search_unfound(queries: np.ndarray, codes: np.ndarray, src: np.ndarray,
                     found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Binary-search each query its guess left unfound, in place.
+    """Find each query its guess left unfound, in place.
 
     ``src`` holds a guessed column of ``codes`` per query and ``found``
-    whether the guess holds.  Every other non-NaN query is searched among its
-    row's codes, sorted once per call; a query that is still unfound keeps
-    an arbitrary column.  Returns (src, found).
+    whether the guess holds.  Every other non-NaN query is compared with
+    every code of its row, in blocks of at most ``_COMPARE_CELLS`` cells; a
+    query that is still unfound gets column 0.  Returns (src, found).
     """
     rows, cols = np.nonzero(~found & ~np.isnan(queries))
-    if rows.size == 0:
-        return src, found
-    # numpy sorts NaN padding last, and NaN compares false, so it is never matched
-    order = np.argsort(codes, axis=1, kind="stable")
-    sorted_codes = np.take_along_axis(codes, order, axis=1)
-    q = queries[rows, cols]
-    k = codes.shape[1]
-    last = k - 1
-    lo = np.zeros(q.shape, dtype=np.int64)
-    hi = np.full(q.shape, k, dtype=np.int64)
-    for _ in range(k.bit_length() + 1):
-        mid = (lo + hi) >> 1
-        go_right = sorted_codes[rows, np.minimum(mid, last)] < q
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(go_right, hi, mid)
-    pos = np.minimum(lo, last)
-    src[rows, cols] = order[rows, pos]
-    found[rows, cols] = sorted_codes[rows, pos] == q
+    step = max(1, _COMPARE_CELLS // max(1, codes.shape[1]))
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        # NaN padding compares false, so it is never matched
+        hit = codes[r] == queries[r, c][:, None]
+        src[r, c] = hit.argmax(axis=1)
+        found[r, c] = hit.any(axis=1)
     return src, found
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arrayneat import RngStream
+from arrayneat.rng import box_muller
 
 
 def test_same_seed_and_path_reproduces():
@@ -87,6 +88,15 @@ def test_sparse_uniforms_match_dense_grid():
     assert sparse_stream._counter == dense_stream._counter
     # subsequent draws stay aligned
     assert np.array_equal(sparse_stream.uniforms(4), dense_stream.uniforms(4))
+    # one call over two grids, the second's cells shifted by the first's width,
+    # equals two consecutive calls, counter included
+    apart = RngStream(6).child(1).split(np.arange(5))
+    joint = RngStream(6).child(1).split(np.arange(5))
+    rows2, cols2 = np.array([1, 4, 2]), np.array([3, 0, 3])
+    first, second = apart.uniforms_at(9, rows, cols), apart.uniforms_at(4, rows2, cols2)
+    both = joint.uniforms_at(13, np.concatenate([rows, rows2]), np.concatenate([cols, cols2 + 9]))
+    assert np.array_equal(both, np.concatenate([first, second]))
+    assert joint._counter == apart._counter == 13
 
 
 def test_sparse_normals_match_dense_grid():
@@ -97,6 +107,15 @@ def test_sparse_normals_match_dense_grid():
     assert np.array_equal(stream.uniforms_at(0, [], []), np.array([]))  # no-op block
     sparse = stream.normals_at(6, rows, cols)
     assert np.array_equal(sparse, dense[rows, cols])
+    # a normal grid is two uniform grids of its width, so one uniforms_at can
+    # span it and the uniform grid after it, counter included
+    after = stream.uniforms_at(5, rows, cols)
+    joint = RngStream(8).child(2).split(np.arange(4))
+    three = np.split(joint.uniforms_at(17, np.tile(rows, 3),
+                                       np.concatenate([cols, cols + 6, cols + 12])), 3)
+    assert np.array_equal(box_muller(three[0], three[1]), sparse)
+    assert np.array_equal(three[2], after)
+    assert joint._counter == stream._counter == 17
 
 
 def test_batch_shape_and_draw_shapes():

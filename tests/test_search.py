@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
-from arrayneat.search import (PAIR_SHIFT, match_aligned, match_rows, pair_codes,
-                              rows_of_io_keys)
+from arrayneat.search import (_COMPARE_CELLS, PAIR_SHIFT, match_aligned, match_rows,
+                              pair_codes, rows_of_io_keys)
 
 
 def brute_force(queries, codes):
+    """The first column of its row holding each query, from a dict per row."""
     pop, q = queries.shape
     idx = np.zeros((pop, q), dtype=np.int64)
     found = np.zeros((pop, q), dtype=bool)
     for p in range(pop):
-        for j in range(q):
-            for k in range(codes.shape[1]):
-                if queries[p, j] == codes[p, k]:
-                    idx[p, j] = k
-                    found[p, j] = True
-                    break
+        first = {}
+        for k, code in enumerate(codes[p].tolist()):
+            if not np.isnan(code):  # NaN padding is never matched
+                first.setdefault(code, k)
+        for j, query in enumerate(queries[p].tolist()):
+            if query in first:
+                idx[p, j] = first[query]
+                found[p, j] = True
     return idx, found
 
 
@@ -123,18 +126,28 @@ def query_block(rng, codes, aligned=0.4, misses=0.15, nans=0.1):
     return queries
 
 
-def node_key_block(seed, pop=8, k=9):
-    """Unique keys per row with NaN padding.  Keys 0..IO-1 are live in every
-    genome, at rows 0..IO-1 in the even genomes and anywhere in the odd ones,
-    so the io guess holds in some genomes of the block and fails in others."""
+def node_key_block(seed, pop=8, k=9, keys=40, misses=0.15):
+    """Unique keys below ``keys`` per row with NaN padding.  Keys 0..IO-1 are
+    live in every genome, at rows 0..IO-1 in the even genomes and anywhere in
+    the odd ones, so the io guess holds in some genomes of the block and
+    fails in others."""
     rng = np.random.default_rng(seed)
     codes = np.full((pop, k), np.nan)
     for p in range(pop):
-        hidden = rng.choice(np.arange(IO, 40), k - IO, replace=False).astype(float)
+        hidden = rng.choice(np.arange(IO, keys), k - IO, replace=False).astype(float)
         hidden[rng.random(hidden.size) < 0.3] = np.nan
         row = np.concatenate([np.arange(IO, dtype=float), hidden])
         codes[p] = row if p % 2 == 0 else rng.permutation(row)
-    return query_block(rng, codes), codes
+    return query_block(rng, codes, misses=misses), codes
+
+
+def wide_block(seed):
+    """64 genomes x 600 codes: the queries no guess can find (20% misses)
+    alone fill more than one block of the compare."""
+    queries, codes = node_key_block(seed, pop=64, k=600, keys=2000, misses=0.2)
+    _, found = brute_force(queries, codes)
+    assert (~found & ~np.isnan(queries)).sum() * codes.shape[1] > _COMPARE_CELLS
+    return queries, codes
 
 
 def pair_code_block(seed, pop=6, k=10):
@@ -161,6 +174,7 @@ FIXED = (np.array([[8.0, 1.0, 2.0, np.nan]]), np.array([[3.0, np.nan, 1.0, 8.0]]
 def test_entry_points_equal_brute_force(entry, seed):
     assert_brute_force(ENTRY_POINTS[entry], *node_key_block(seed))
     assert_brute_force(ENTRY_POINTS[entry], *pair_code_block(seed))
+    assert_brute_force(ENTRY_POINTS[entry], *wide_block(seed))
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
