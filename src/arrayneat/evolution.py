@@ -6,8 +6,9 @@ slot index).  Because draws are pure functions of (stream key, counter) and
 numpy elementwise math is position-independent, running the same operator on
 one genome, on a chunk, or on the whole population produces bitwise-identical
 results.  Thread workers therefore only partition rows, and the forced
-per-genome path used by the benchmark harness replays the exact trajectory of
-the fully vectorized path.
+per-genome path, which ``arrayneat bench`` and the scaling test in
+``tests/test_acceptance.py`` time against the vectorized path, replays its
+exact trajectory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -103,19 +103,6 @@ def _pick_kth_true(mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return hit.argmax(axis=1), count > 0
 
 
-def _draw_grids(rng: RngStream, grids: list[tuple[tuple, int]]) -> list[np.ndarray]:
-    """Cells (rows, cols) of uniform grids of the given widths, laid end to end
-    on the tape in list order, as one uniforms_at call; one array per grid."""
-    if not grids:
-        return []
-    offsets = [0, *accumulate(width for _, width in grids)]
-    rows = np.concatenate([cells[0] for cells, _ in grids])
-    cols = np.concatenate([cells[1] + offset for (cells, _), offset in zip(grids, offsets)])
-    draws = rng.uniforms_at(offsets[-1], rows, cols)
-    ends = [0, *accumulate(cells[0].size for cells, _ in grids)]
-    return [draws[lo:hi] for lo, hi in zip(ends, ends[1:])]
-
-
 # ---------------------------------------------------------------------------
 # crossover
 # ---------------------------------------------------------------------------
@@ -133,10 +120,10 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
     matching runs on that prefix of both.  Node genes are matched by key,
     then connection genes by their (in_key, out_key) pair code.  Coin draws
     cover a fixed (max_nodes x 4) + (max_conns x 2) grid, ``capacity`` being
-    (max_nodes, max_conns), node coins first, but are only computed at the
-    homologous cells that consume them, in one call.
+    (max_nodes, max_conns), node coins first, each drawn right after its
+    gene kind is matched, and are only computed at the homologous cells
+    that consume them.
     """
-    blends, grids = [], []
     for out, less, identity, first, attrs, stride in (
             (out_nodes, less_nodes, lambda nodes: nodes[:, :, NODE_KEY], NODE_BIAS,
              NODE_ATTRS, capacity[0]),
@@ -145,11 +132,10 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
         src, has = match_aligned(identity(out), identity(less))
         pm, rm = np.nonzero(has)
         cols = slice(first, first + attrs)
-        blends.append((out, (pm, rm, cols), less[pm, src[pm, rm], cols]))
-        grids.append(((np.repeat(pm, attrs), (rm[:, None] * attrs + np.arange(attrs)).ravel()),
-                      stride * attrs))
-    for (out, cells, theirs), coins in zip(blends, _draw_grids(rng, grids)):
-        out[cells] = np.where(coins.reshape(theirs.shape) < 0.5, theirs, out[cells])
+        coins = rng.uniforms_at(stride * attrs, np.repeat(pm, attrs),
+                                (rm[:, None] * attrs + np.arange(attrs)).ravel())
+        out[pm, rm, cols] = np.where(coins.reshape(-1, attrs) < 0.5,
+                                     less[pm, src[pm, rm], cols], out[pm, rm, cols])
 
 
 def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,
@@ -267,59 +253,54 @@ def mutate_arrays(nodes: np.ndarray, conns: np.ndarray, config: NeatConfig,
         if sel.size:
             conns[sel, dc_row[has_conn], :] = np.nan
 
-    # (5) attribute perturbation over every live gene.  Each draw grid covers
-    # the fixed (pop, capacity) grid.  Tape order: per attribute with a rate
-    # above 0, replace and mutate uniforms, then the Box-Muller pairs of the
-    # noise and of the replacement value whose rate is above 0; the enabled
-    # flip; per categorical attribute replace and choice uniforms.  One call
-    # computes them at live cells only (draws are pure in (key, counter)).
+    # (5) attribute perturbation over every live gene.  The draw grids are
+    # (pop, capacity) grids laid on the tape in this order: per attribute with
+    # a rate above 0, replace and mutate uniforms, then the Box-Muller pairs of
+    # the noise and of the replacement value whose rate is above 0; the enabled
+    # flip; per categorical attribute with a rate above 0, hit and choice
+    # uniforms.  Each is drawn where it is used, at the cells that read it
+    # (draws are pure in (key, counter)).
     node_cells = np.nonzero(~np.isnan(nodes[:, :, NODE_KEY]))
     conn_cells = np.nonzero(~np.isnan(conns[:, :, CONN_IN]))
-    perturbed = [step for step in (
-        (nodes, NODE_BIAS, node_cells, n, config.bias_replace_rate, config.bias_mutate_rate,
-         config.bias_mutate_power, config.bias_init_mean, config.bias_init_std),
-        (nodes, NODE_RESPONSE, node_cells, n, config.response_replace_rate,
-         config.response_mutate_rate, config.response_mutate_power,
-         config.response_init_mean, config.response_init_std),
-        (conns, CONN_WEIGHT, conn_cells, c, config.weight_replace_rate,
-         config.weight_mutate_rate, config.weight_mutate_power,
-         config.weight_init_mean, config.weight_init_std)) if step[4] > 0.0 or step[5] > 0.0]
-    categorical = [step for step in (
-        (NODE_ACT, config.activation_option_ids, config.activation_replace_rate),
-        (NODE_AGG, config.aggregation_option_ids, config.aggregation_replace_rate))
-        if step[2] > 0.0]
-    grids = []
-    for _, _, cells, width, replace_rate, mutate_rate, *_ in perturbed:
-        grids += [(cells, width)] * (2 + 2 * (mutate_rate > 0.0) + 2 * (replace_rate > 0.0))
-    grids += [(conn_cells, c)] * (config.enabled_mutate_rate > 0.0)
-    grids += [(node_cells, n)] * (2 * len(categorical))
-    draws = iter(_draw_grids(rng, grids))
-
-    for tensor, col, (pm, cm), _, replace_rate, mutate_rate, power, mean, std in perturbed:
+    for tensor, col, (pm, cm), width, replace_rate, mutate_rate, power, mean, std in (
+            (nodes, NODE_BIAS, node_cells, n, config.bias_replace_rate, config.bias_mutate_rate,
+             config.bias_mutate_power, config.bias_init_mean, config.bias_init_std),
+            (nodes, NODE_RESPONSE, node_cells, n, config.response_replace_rate,
+             config.response_mutate_rate, config.response_mutate_power,
+             config.response_init_mean, config.response_init_std),
+            (conns, CONN_WEIGHT, conn_cells, c, config.weight_replace_rate,
+             config.weight_mutate_rate, config.weight_mutate_power,
+             config.weight_init_mean, config.weight_init_std)):
+        if not (replace_rate > 0.0 or mutate_rate > 0.0):
+            continue
+        replaced = rng.uniforms_at(width, pm, cm) < replace_rate
+        mutated = ~replaced & (rng.uniforms_at(width, pm, cm) < mutate_rate)
         value = tensor[pm, cm, col]
-        replaced = next(draws) < replace_rate
-        mutated = ~replaced & (next(draws) < mutate_rate)
         if mutate_rate > 0.0:
-            idx = np.flatnonzero(mutated)
-            value[idx] += power * box_muller(next(draws)[idx], next(draws)[idx])
+            value[mutated] += power * rng.normals_at(width, pm[mutated], cm[mutated])
         if replace_rate > 0.0:
-            idx = np.flatnonzero(replaced)
-            value[idx] = mean + std * box_muller(next(draws)[idx], next(draws)[idx])
-        changed = np.flatnonzero(replaced | mutated)
+            value[replaced] = mean + std * rng.normals_at(width, pm[replaced], cm[replaced])
+        changed = replaced | mutated
         tensor[pm[changed], cm[changed], col] = np.clip(
             value[changed], config.attr_min, config.attr_max)
 
     if config.enabled_mutate_rate > 0.0:
         pm, cm = conn_cells
-        flip = next(draws) < config.enabled_mutate_rate
+        flip = rng.uniforms_at(c, pm, cm) < config.enabled_mutate_rate
         conns[pm[flip], cm[flip], CONN_ENABLED] = 1.0 - conns[pm[flip], cm[flip], CONN_ENABLED]
 
-    for col, options, rate in categorical:
-        pm, cm = node_cells
-        hit = next(draws) < rate
-        table = np.asarray(options, dtype=np.float64)
-        idx = np.minimum((next(draws) * table.size).astype(np.int64), table.size - 1)
-        nodes[pm[hit], cm[hit], col] = table[idx[hit]]
+    for col, options, rate in ((NODE_ACT, config.activation_option_ids,
+                                config.activation_replace_rate),
+                               (NODE_AGG, config.aggregation_option_ids,
+                                config.aggregation_replace_rate)):
+        if rate > 0.0:
+            pm, cm = node_cells
+            hit = rng.uniforms_at(n, pm, cm) < rate
+            pm, cm = pm[hit], cm[hit]
+            table = np.asarray(options, dtype=np.float64)
+            idx = np.minimum((rng.uniforms_at(n, pm, cm) * table.size).astype(np.int64),
+                             table.size - 1)
+            nodes[pm, cm, col] = table[idx]
 
     return nodes, conns, can_add
 

@@ -200,8 +200,10 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray, num_inputs: int,
     # zero-padded row then sums to the bits of the capacity-wide sum, whatever
     # batch the genome is in.  Above 128 it sums in halves, so wider
     # capacities keep their full width.  Rows past the stored ones are padding,
-    # and only the key column is padded to read them.
-    rounded = -(-occupied(nodes[:, :, NODE_KEY]) // 8) * 8
+    # and only the key column is padded to read them.  Every genome holds its
+    # I/O rows, so the I + O floor only matters for an empty population.
+    io = num_inputs + num_outputs
+    rounded = -(-max(occupied(nodes[:, :, NODE_KEY]), io) // 8) * 8
     n = max_nodes if max_nodes > 128 else min(max_nodes, rounded)
     nodes = nodes[:, :n]
     conns = conns[:, :occupied(conns[:, :, CONN_IN])]
@@ -212,7 +214,6 @@ def transform_arrays(nodes: np.ndarray, conns: np.ndarray, num_inputs: int,
 
     # endpoint keys and fixed input/output keys -> node row positions
     c = conns.shape[1]
-    io = num_inputs + num_outputs
     queries = np.concatenate(
         [conns[:, :, CONN_IN], conns[:, :, CONN_OUT],
          np.broadcast_to(np.arange(io, dtype=np.float64), (pop, io))], axis=1)
@@ -329,41 +330,25 @@ def forward_arrays(stacked: StackedNetworks, registry: None,
 
         flat[rows] = out.reshape(-1)
 
-    return flat[output_at].reshape(pop, batch, -1)
-
-
-def _check_inputs(arr: np.ndarray, num_inputs: int) -> None:
-    if arr.shape[-1] != num_inputs:
-        raise InvalidInput(f"expected input length {num_inputs}, got {arr.shape[-1]}")
-    if not np.isfinite(arr).all():
-        raise InvalidInput("input contains NaN or infinity")
-
-
-def _check_single(stacked: StackedNetworks) -> None:
-    if stacked.size != 1:
-        raise InvalidInput(f"expected a single network, got a stack of {stacked.size}")
+    return flat[output_at].reshape(pop, batch, stacked.output_rows.shape[1])
 
 
 def forward(stacked: StackedNetworks, inputs) -> np.ndarray:
     """Single input vector (I,) -> output vector (O,) of a stack of one."""
-    _check_single(stacked)
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidInput(f"expected a 1-D input vector, got shape {arr.shape}")
-    _check_inputs(arr, stacked.input_rows.shape[1])
-    return forward_arrays(stacked, None, arr[None, None, :])[0, 0]
+    return forward_batch(stacked, arr[None])[0]
 
 
 def forward_batch(stacked: StackedNetworks, inputs) -> np.ndarray:
     """Input matrix (B, I) -> output matrix (B, O) of a stack of one."""
-    _check_single(stacked)
+    if stacked.size != 1:
+        raise InvalidInput(f"expected a single network, got a stack of {stacked.size}")
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInput(f"expected a (B, I) input matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise InvalidInput("batch must contain at least one row")
-    _check_inputs(arr, stacked.input_rows.shape[1])
-    return forward_arrays(stacked, None, arr[None])[0]
+    return population_forward(stacked, arr[None])[0]
 
 
 def population_forward(stacked: StackedNetworks, inputs) -> np.ndarray:
@@ -376,7 +361,13 @@ def population_forward(stacked: StackedNetworks, inputs) -> np.ndarray:
         raise InvalidInput(f"expected (P, I) or (P, B, I) inputs, got shape {arr.shape}")
     if arr.shape[0] != stacked.size:
         raise InvalidInput(f"expected inputs for {stacked.size} networks, got {arr.shape[0]}")
-    _check_inputs(arr, stacked.input_rows.shape[1])
+    if arr.ndim == 3 and arr.shape[1] < 1:
+        raise InvalidInput("batch must contain at least one row")
+    num_inputs = stacked.input_rows.shape[1]
+    if arr.shape[-1] != num_inputs:
+        raise InvalidInput(f"expected input length {num_inputs}, got {arr.shape[-1]}")
+    if not np.isfinite(arr).all():
+        raise InvalidInput("input contains NaN or infinity")
     if arr.ndim == 2:
         return forward_arrays(stacked, None, arr[:, None, :])[:, 0, :]
     return forward_arrays(stacked, None, arr)

@@ -3,7 +3,8 @@
 Workers only partition rows; every per-genome quantity is keyed by its global
 row index, so results are bitwise independent of chunk boundaries and thread
 count.  ``sequential`` forces one-genome chunks in a plain loop, which is the
-forced per-genome path the benchmark harness measures against.
+forced per-genome path that ``arrayneat bench`` and the scaling test in
+``tests/test_acceptance.py`` time the vectorized path against.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -44,6 +46,14 @@ def _fold(keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return _mix64(keys ^ _mix64(tokens + _GOLDEN))
 
 
+def _signed64(value, what: str) -> int:
+    """``value`` as an int; ConfigError unless it fits in a signed 64-bit integer."""
+    value = int(value)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{what} must fit in a signed 64-bit integer, got {value}")
+    return value
+
+
 def _as_tokens(value) -> np.ndarray:
     """1-D uint64 view of integer tokens (negatives via two's complement)."""
     arr = np.asarray(value)
@@ -64,15 +74,15 @@ class RngStream:
     __slots__ = ("master_seed", "path", "batch_shape", "_keys", "_counter")
 
     def __init__(self, master_seed: int, path: tuple = ()):
-        self.master_seed = int(master_seed)
+        self.master_seed = _signed64(master_seed, "seed")
         self.path = tuple(path)
         self.batch_shape: tuple[int, ...] = ()
         keys = _mix64(_as_tokens(self.master_seed))
         for token in self.path:
-            tok = _as_tokens(token)
             if np.ndim(token) == 0:
-                keys = _fold(keys, tok)
+                keys = _fold(keys, _as_tokens(_signed64(token, "stream token")))
             else:
+                tok = _as_tokens(token)
                 keys = _fold(keys[:, None], tok[None, :]).reshape(-1)
                 self.batch_shape = self.batch_shape + (tok.size,)
         self._keys = keys

@@ -8,8 +8,8 @@ from arrayneat import (CapacityFull, ConnRow, GenomeTensors, NodeKeyAllocator, P
                        crossover, decode, distance, evolve_step, genomes_equal,
                        graph_distance, init_genome, init_state, make_problem, mutate,
                        reproduce, set_conn_attr, speciate, update_stagnation)
-from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT,
-                              NODE_KEY, NODE_RESPONSE, check_integrity)
+from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
+                              NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE, check_integrity)
 
 from arrayneat import evolution
 from arrayneat.evolution import _add_connections, distance_arrays
@@ -41,6 +41,85 @@ def quiet_config(**overrides):
                 weight_mutate_rate=0.0, weight_replace_rate=0.0)
     base.update(overrides)
     return make_config(**base)
+
+
+# Step 5 of mutate_arrays: each case switches on some attribute grids
+STEP5_RATES = {
+    "weight-mutate": dict(weight_mutate_rate=0.6, weight_mutate_power=0.5),
+    "bias": dict(bias_replace_rate=0.3, bias_mutate_rate=0.5, bias_mutate_power=0.7),
+    "response": dict(response_replace_rate=0.3, response_mutate_rate=0.5,
+                     response_mutate_power=0.4, response_init_std=0.2),
+    "weight": dict(weight_replace_rate=0.3, weight_mutate_rate=0.5),
+    "enabled": dict(enabled_mutate_rate=0.4),
+    "categorical": dict(activation_options=("tanh", "relu", "sigmoid"),
+                        activation_replace_rate=0.6,
+                        aggregation_options=("sum", "max"), aggregation_replace_rate=0.5),
+    "all": dict(bias_replace_rate=0.2, bias_mutate_rate=0.6, response_replace_rate=0.25,
+                response_mutate_rate=0.4, response_mutate_power=0.3, response_init_std=0.2,
+                weight_replace_rate=0.15, weight_mutate_rate=0.7, enabled_mutate_rate=0.3,
+                activation_options=("tanh", "relu", "sigmoid"), activation_replace_rate=0.5,
+                aggregation_options=("sum", "max", "mean"), aggregation_replace_rate=0.4),
+}
+
+
+def grown_genome() -> GenomeTensors:
+    """8 live node rows and 17 live connection rows, 8 of them disabled, then
+    padding, at capacity 12/24."""
+    config = make_config(pop_size=4, node_add=0.5, conn_add=0.9, node_delete=0.0,
+                         conn_delete=0.0, enabled_mutate_rate=0.2)
+    return grown_population(config, 10, seed=7).genome(0)
+
+
+def replay_perturbation(genome: GenomeTensors, config, stream: RngStream):
+    """Oracle for mutation step 5 on one genome whose structural rates are 0.
+
+    Replays the dense grids in tape order and applies each rule cell by cell
+    in plain python: per attribute with a rate above 0, replace and mutate
+    uniforms, then the noise and the replacement normals whose rate is above
+    0; the enabled flip; per categorical attribute hit and choice uniforms.
+    """
+    nodes, conns = genome.nodes.copy(), genome.conns.copy()
+    n, c = config.max_nodes, config.max_conns
+    stream.uniforms(4)   # structural decisions
+    stream.uniforms(4)   # structural picks
+    stream.normals(1)    # reserved new-node bias
+    stream.normals(1)    # reserved new-connection weight
+    for block, col, width, name in ((nodes, NODE_BIAS, n, "bias"),
+                                    (nodes, NODE_RESPONSE, n, "response"),
+                                    (conns, CONN_WEIGHT, c, "weight")):
+        replace_rate = getattr(config, f"{name}_replace_rate")
+        mutate_rate = getattr(config, f"{name}_mutate_rate")
+        if replace_rate == 0.0 and mutate_rate == 0.0:
+            continue
+        u_replace, u_mutate = stream.uniforms(width), stream.uniforms(width)
+        noise = stream.normals(width) if mutate_rate > 0.0 else None
+        fresh = stream.normals(width) if replace_rate > 0.0 else None
+        for i in range(width):
+            if np.isnan(block[i, 0]):
+                continue
+            if u_replace[i] < replace_rate:
+                value = (getattr(config, f"{name}_init_mean")
+                         + getattr(config, f"{name}_init_std") * fresh[i])
+            elif u_mutate[i] < mutate_rate:
+                value = block[i, col] + getattr(config, f"{name}_mutate_power") * noise[i]
+            else:
+                continue
+            block[i, col] = min(max(value, config.attr_min), config.attr_max)
+    if config.enabled_mutate_rate > 0.0:
+        flip = stream.uniforms(c)
+        for i in range(c):
+            if not np.isnan(conns[i, CONN_IN]) and flip[i] < config.enabled_mutate_rate:
+                conns[i, CONN_ENABLED] = 1.0 - conns[i, CONN_ENABLED]
+    for col, options, rate in ((NODE_ACT, config.activation_option_ids,
+                                config.activation_replace_rate),
+                               (NODE_AGG, config.aggregation_option_ids,
+                                config.aggregation_replace_rate)):
+        if rate > 0.0:
+            hit, choice = stream.uniforms(n), stream.uniforms(n)
+            for i in range(n):
+                if not np.isnan(nodes[i, NODE_KEY]) and hit[i] < rate:
+                    nodes[i, col] = options[min(int(choice[i] * len(options)), len(options) - 1)]
+    return nodes, conns
 
 
 class TestMutate:
@@ -173,30 +252,15 @@ class TestMutate:
         else:
             assert genomes_equal(out, g)
 
-    def test_weight_mutation_matches_scalar_replay_oracle(self):
-        config = quiet_config(weight_mutate_rate=0.6, weight_mutate_power=0.5)
-        g = random_genome(7, config, n_ops=20)
-        stream = RngStream(11).child(3, 2, 4)
-        out = mutate(g, config, stream, NodeKeyAllocator(500))
-
-        # oracle: replay the identical stream and apply the perturbation rule
-        # cell by cell in plain python
-        replay = RngStream(11).child(3, 2, 4)
-        replay.uniforms(4)   # structural decisions
-        replay.uniforms(4)   # structural picks
-        replay.normals(1)    # reserved new-node bias
-        replay.normals(1)    # reserved new-connection weight
-        c = config.max_conns
-        u_replace = replay.uniforms(c)
-        u_mutate = replay.uniforms(c)
-        noise = replay.normals(c)
-        expected = g.conns[:, CONN_WEIGHT].copy()
-        live = ~np.isnan(g.conns[:, CONN_IN])
-        for i in range(c):
-            if live[i] and not (u_replace[i] < 0.0) and u_mutate[i] < 0.6:
-                perturbed = expected[i] + 0.5 * noise[i]
-                expected[i] = min(max(perturbed, config.attr_min), config.attr_max)
-        assert np.array_equal(out.conns[:, CONN_WEIGHT], expected, equal_nan=True)
+    @pytest.mark.parametrize("rates", list(STEP5_RATES.values()), ids=list(STEP5_RATES))
+    def test_attribute_perturbation_matches_scalar_replay_oracle(self, rates):
+        config = quiet_config(**rates)
+        g = grown_genome()
+        out = mutate(g, config, RngStream(11).child(3, 2, 4), NodeKeyAllocator(500))
+        nodes, conns = replay_perturbation(g, config, RngStream(11).child(3, 2, 4))
+        assert np.array_equal(out.nodes, nodes, equal_nan=True)
+        assert np.array_equal(out.conns, conns, equal_nan=True)
+        assert not genomes_equal(out, g)
 
     def test_attribute_clamping(self):
         config = quiet_config(bias_mutate_rate=1.0, bias_mutate_power=1000.0)
@@ -596,6 +660,32 @@ class TestCrossover:
         out = crossover(g1, g2, RngStream(3).child(0, 2, 0))
         only_in_g2 = set(live_conn_pairs(g2)) - set(live_conn_pairs(g1))
         assert not (set(live_conn_pairs(out)) & only_in_g2)
+
+    def test_coins_match_scalar_replay_oracle(self):
+        fit = grown_genome()
+        less = mutate(fit, busy_config(bias_replace_rate=0.5, weight_replace_rate=0.5),
+                      RngStream(4).child(1, 2, 0), NodeKeyAllocator(100))
+        out = crossover(fit, less, RngStream(5).child(0, 2, 1))
+        # oracle: node coins, then connection coins, over the capacity grids;
+        # a homologous gene takes attribute a from ``less`` where its coin < 0.5
+        replay = RngStream(5).child(0, 2, 1)
+        expected = fit.nodes.copy(), fit.conns.copy()
+        for block, other, first, attrs, identity in (
+                (expected[0], less.nodes, NODE_BIAS, 4, lambda row: row[NODE_KEY]),
+                (expected[1], less.conns, CONN_ENABLED, 2,
+                 lambda row: (row[CONN_IN], row[CONN_OUT]))):
+            coins = replay.uniforms(len(block) * attrs)
+            row_of = {identity(row): j for j, row in enumerate(other) if not np.isnan(row[0])}
+            for i, row in enumerate(block):
+                j = None if np.isnan(row[0]) else row_of.get(identity(row))
+                for a in range(attrs if j is not None else 0):
+                    if coins[i * attrs + a] < 0.5:
+                        row[first + a] = other[j, first + a]
+        assert np.array_equal(out.nodes, expected[0], equal_nan=True)
+        assert np.array_equal(out.conns, expected[1], equal_nan=True)
+        for parent in (fit, less):  # both parents gave some attribute of each kind
+            assert not np.array_equal(out.nodes, parent.nodes, equal_nan=True)
+            assert not np.array_equal(out.conns, parent.conns, equal_nan=True)
 
     def test_parents_unchanged(self, config):
         g1 = random_genome(7, config, n_ops=30)

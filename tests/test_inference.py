@@ -531,9 +531,11 @@ class TestPopulation:
     @pytest.mark.parametrize("call", [
         lambda s: population_forward(s, inputs=np.zeros((s.size + 1, 2))),
         lambda s: population_forward(s, inputs=np.zeros((s.size - 1, 5, 2))),
+        lambda s: population_forward(s, inputs=np.zeros((s.size, 0, 2))),
         lambda s: forward(s, inputs=[0.1, 0.2]),
         lambda s: forward_batch(s, inputs=[[0.1, 0.2]]),
-    ], ids=["population_forward-2d", "population_forward-3d", "forward", "forward_batch"])
+    ], ids=["population_forward-2d", "population_forward-3d", "population_forward-empty-batch",
+            "forward", "forward_batch"])
     def test_leading_axis_must_match_the_stack(self, call):
         pop, _ = self.make_population(range(3), make_config())
         with pytest.raises(InvalidInput):

@@ -10,8 +10,9 @@ from arrayneat import (ArrayNeatError, CartPoleProblem, CartPoleState, InvalidFi
                        NeatConfig, RegressionProblem, RngStream, ShapeMismatch,
                        TerminalState, XorProblem, cartpole_step, eval_cartpole,
                        eval_regression, eval_xor, evolve_step, forward, init_genome,
-                       init_state, load_checkpoint, make_problem, population_transform,
-                       problems, run_experiment, set_conn_attr, transform)
+                       init_state, load_checkpoint, make_problem, population_forward,
+                       population_transform, problems, run_experiment, set_conn_attr,
+                       transform)
 from arrayneat.errors import ConfigError
 from arrayneat.genome import PopulationTensors
 from arrayneat.parallel import run_chunked
@@ -256,6 +257,10 @@ class TestEvaluatePopulation:
         fitness = XorProblem().evaluate_population_tensors(empty, threads=threads,
                                                            sequential=sequential)
         assert fitness.shape == (0,)
+        stacked = population_transform(empty)
+        assert stacked.size == 0
+        assert population_forward(stacked, np.zeros((0, 4, 2))).shape == (0, 4, 1)
+        assert population_forward(stacked, np.zeros((0, 2))).shape == (0, 1)
 
 
 class NonFiniteXor(XorProblem):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arrayneat import RngStream
+from arrayneat import ConfigError, RngStream
 from arrayneat.rng import box_muller
 
 
@@ -75,6 +75,29 @@ def test_negative_tokens_allowed():
 def test_split_requires_1d():
     with pytest.raises(ValueError):
         RngStream(0).split(np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RngStream(2 ** 63),
+    lambda: RngStream(-2 ** 63 - 1),
+    lambda: RngStream(2 ** 70),
+    lambda: RngStream(0).child(2 ** 63),
+    lambda: RngStream(0).child(1, -2 ** 63 - 1),
+    lambda: RngStream(0).child(2 ** 64),
+    lambda: RngStream(0, (np.uint64(2 ** 63),)),
+], ids=["seed-2**63", "seed-below", "seed-2**70", "child-2**63", "child-below",
+        "child-2**64", "path-uint64"])
+def test_seed_and_tokens_must_fit_in_int64(make):
+    # two's complement would alias 2**63 with -2**63 instead
+    with pytest.raises(ConfigError, match="signed 64-bit"):
+        make()
+
+
+def test_int64_bounds_are_distinct_streams():
+    low, high = RngStream(-2 ** 63), RngStream(2 ** 63 - 1)
+    assert not np.array_equal(low.uniforms(4), high.uniforms(4))
+    assert not np.array_equal(RngStream(0).child(-2 ** 63).uniforms(4),
+                              RngStream(0).child(2 ** 63 - 1).uniforms(4))
 
 
 def test_sparse_uniforms_match_dense_grid():
