@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .errors import ConfigError
 from .functions import ACTIVATION_IDS, AGGREGATION_IDS
 
@@ -29,6 +31,9 @@ _NON_NEGATIVE_FIELDS = (
     "spawn_number_change_rate", "genome_elitism", "species_elitism", "generation_limit",
     "max_stagnation",
 )
+# the values each declared field type takes; bools are refused everywhere
+_ACCEPTED = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
+             "str": str}
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,16 @@ class NeatConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and math.isnan(value):
+            if f.type == "tuple[str, ...]":
+                typed = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+            else:
+                typed = isinstance(value, _ACCEPTED[f.type]) and not isinstance(value, bool)
+            if not typed:
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if isinstance(value, (float, np.floating)) and math.isnan(value):
                 raise ConfigError(f"{f.name} must be a number, got nan")
-            if isinstance(value, float) and math.isinf(value) and f.name not in _UNBOUNDED_FIELDS:
+            if (isinstance(value, (float, np.floating)) and math.isinf(value)
+                    and f.name not in _UNBOUNDED_FIELDS):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if not -2 ** 63 <= self.seed < 2 ** 63:
             raise ConfigError(f"seed must fit in a signed 64-bit integer, got {self.seed}")

@@ -132,10 +132,9 @@ def _crossover_into(out_nodes: np.ndarray, out_conns: np.ndarray,
         src, has = match_aligned(identity(out), identity(less))
         pm, rm = np.nonzero(has)
         cols = slice(first, first + attrs)
-        coins = rng.uniforms_at(stride * attrs, np.repeat(pm, attrs),
-                                (rm[:, None] * attrs + np.arange(attrs)).ravel())
-        out[pm, rm, cols] = np.where(coins.reshape(-1, attrs) < 0.5,
-                                     less[pm, src[pm, rm], cols], out[pm, rm, cols])
+        coins = rng.uniforms_at(stride * attrs, pm[:, None],
+                                rm[:, None] * attrs + np.arange(attrs))
+        out[pm, rm, cols] = np.where(coins < 0.5, less[pm, src[pm, rm], cols], out[pm, rm, cols])
 
 
 def crossover(parent_fit: GenomeTensors, parent_less: GenomeTensors,

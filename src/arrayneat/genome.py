@@ -170,9 +170,8 @@ def init_arrays(config: NeatConfig, rng: RngStream) -> tuple[np.ndarray, np.ndar
 
     def draw(width: int, cells: int, mean: float, std: float) -> np.ndarray:
         # cells 0..cells-1 of every stream's row of the grid normals(width) returns
-        rows = np.repeat(np.arange(streams), cells)
-        cols = np.tile(np.arange(cells), streams)
-        return (mean + std * rng.normals_at(width, rows, cols)).reshape(batch + (cells,))
+        normals = rng.normals_at(width, np.arange(streams)[:, None], np.arange(cells))
+        return (mean + std * normals).reshape(batch + (cells,))
 
     bias = draw(config.max_nodes, n_io, config.bias_init_mean, config.bias_init_std)
     response = draw(config.max_nodes, n_io, config.response_init_mean,

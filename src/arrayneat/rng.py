@@ -1,18 +1,22 @@
 """Counter-based splittable random streams.
 
-Every stream is identified by a 64-bit key derived from a master seed and a
-path of integer tokens (generation, stage tag, genome index).  Draws are pure
-functions of (key, draw counter), so a batch of streams can be sampled with
-one vectorized pass and the result is bitwise identical to sampling each
+A stream is its 64-bit keys and a draw counter: ``RngStream(seed)`` hashes
+the seed, and ``child``/``split`` fold integer tokens (generation, stage tag,
+genome index) into the parent's keys, one hash round per token.  Draws are
+pure functions of (key, draw counter), so a batch of streams can be sampled
+with one vectorized pass and the result is bitwise identical to sampling each
 stream on its own.  That property is what makes population-level operations
 independent of chunking, thread count, and evaluation order.
 
-The generator is splitmix64: the n-th raw value of a stream is
-``mix64(key + (n + 1) * GOLDEN)``.  Uniforms map the top 53 bits into the
-open interval (0, 1); normals come from a Box-Muller pair of uniforms.
+The generator is splitmix64: cell ``(b, j)`` of a grid drawn at counter
+``base`` is raw value ``base + 1 + j`` of stream ``b``, ``mix64(key + (base +
+1 + j) * GOLDEN)``.  Uniforms map the top 53 bits into the open interval
+(0, 1); normals come from a Box-Muller pair of uniforms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +33,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX_1
     z = (z ^ (z >> np.uint64(27))) * _MIX_2
     return z ^ (z >> np.uint64(31))
+
+
+def _hash(keys: np.ndarray, base: int, cols) -> np.ndarray:
+    """Raw values ``base + 1 + cols`` of the streams with ``keys`` (the two broadcast)."""
+    return _mix64(keys + (np.asarray(cols, dtype=np.uint64) + np.uint64(base + 1)) * _GOLDEN)
 
 
 def _unit(bits: np.ndarray) -> np.ndarray:
@@ -56,10 +65,7 @@ def _signed64(value, what: str) -> int:
 
 def _as_tokens(value) -> np.ndarray:
     """1-D uint64 view of integer tokens (negatives via two's complement)."""
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return arr.astype(np.int64).view(np.uint64)
+    return np.asarray(value, dtype=np.int64).reshape(-1).view(np.uint64)
 
 
 class RngStream:
@@ -67,83 +73,74 @@ class RngStream:
 
     ``batch_shape`` is () for a single stream.  ``split`` produces one child
     stream per token, stacked along a new leading axis; ``child`` folds scalar
-    tokens into every key.  Draw methods advance the counter by the number of
-    raw values consumed per stream.
+    tokens into every key; both start at counter 0.  Draw methods advance the
+    counter by the number of raw values consumed per stream.
     """
 
-    __slots__ = ("master_seed", "path", "batch_shape", "_keys", "_counter")
+    __slots__ = ("batch_shape", "_keys", "_counter")
 
-    def __init__(self, master_seed: int, path: tuple = ()):
-        self.master_seed = _signed64(master_seed, "seed")
-        self.path = tuple(path)
+    def __init__(self, seed: int):
         self.batch_shape: tuple[int, ...] = ()
-        keys = _mix64(_as_tokens(self.master_seed))
-        for token in self.path:
-            if np.ndim(token) == 0:
-                keys = _fold(keys, _as_tokens(_signed64(token, "stream token")))
-            else:
-                tok = _as_tokens(token)
-                keys = _fold(keys[:, None], tok[None, :]).reshape(-1)
-                self.batch_shape = self.batch_shape + (tok.size,)
-        self._keys = keys
+        self._keys = _mix64(_as_tokens(_signed64(seed, "seed")))
         self._counter = 0
 
     # -- stream derivation -------------------------------------------------
 
+    def _derived(self, keys: np.ndarray, batch_shape: tuple[int, ...]) -> "RngStream":
+        stream = object.__new__(RngStream)
+        stream.batch_shape, stream._keys, stream._counter = batch_shape, keys, 0
+        return stream
+
     def child(self, *tokens: int) -> "RngStream":
-        """New stream with the scalar tokens appended to the path."""
-        return RngStream(self.master_seed, self.path + tuple(int(t) for t in tokens))
+        """New stream with the scalar tokens folded into every key, in order."""
+        keys = self._keys
+        for token in tokens:
+            keys = _fold(keys, _as_tokens(_signed64(token, "stream token")))
+        return self._derived(keys, self.batch_shape)
 
     def split(self, tokens) -> "RngStream":
         """Batch of child streams, one per entry of ``tokens`` (a 1-D int array)."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1:
             raise ValueError("split expects a 1-D token array")
-        return RngStream(self.master_seed, self.path + (tokens,))
+        keys = _fold(self._keys[:, None], _as_tokens(tokens)[None, :]).reshape(-1)
+        return self._derived(keys, self.batch_shape + (tokens.size,))
 
     # -- draws --------------------------------------------------------------
-
-    def _raw(self, count: int) -> np.ndarray:
-        """Next ``count`` raw uint64 values per stream, shape (B, count)."""
-        offsets = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64) * _GOLDEN
-        self._counter += count
-        return _mix64(self._keys[:, None] + offsets[None, :])
-
-    def uniforms(self, *shape: int) -> np.ndarray:
-        """Uniform float64 in the open interval (0, 1), shape batch_shape + shape."""
-        n = int(np.prod(shape)) if shape else 1
-        return _unit(self._raw(n)).reshape(self.batch_shape + tuple(shape))
-
-    def normals(self, *shape: int) -> np.ndarray:
-        """Standard normals via Box-Muller, two uniforms per value."""
-        n = int(np.prod(shape)) if shape else 1
-        u = _unit(self._raw(2 * n))
-        return box_muller(u[:, :n], u[:, n:]).reshape(self.batch_shape + tuple(shape))
-
-    # -- sparse draws --------------------------------------------------------
     #
     # Draws are pure functions of (key, counter), so a caller that only needs
     # a few cells of a conceptual (batch, width) grid can compute exactly
     # those cells; the counter still advances by the full grid width, keeping
     # the tape layout identical to the dense methods.
 
-    def _cell_bits(self, base: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        offsets = (np.asarray(cols, dtype=np.uint64) + np.uint64(base + 1)) * _GOLDEN
-        return _mix64(self._keys[np.asarray(rows, dtype=np.int64)] + offsets)
+    def _advance(self, count: int) -> int:
+        self._counter += count
+        return self._counter - count
+
+    def uniforms(self, *shape: int) -> np.ndarray:
+        """Uniform float64 in the open interval (0, 1), shape batch_shape + shape."""
+        n = math.prod(shape)
+        bits = _hash(self._keys[:, None], self._advance(n), np.arange(n, dtype=np.uint64))
+        return _unit(bits).reshape(self.batch_shape + shape)
+
+    def normals(self, *shape: int) -> np.ndarray:
+        """Standard normals via Box-Muller, two uniforms per value."""
+        n = math.prod(shape)
+        u = self.uniforms(2 * n).reshape(self._keys.size, 2 * n)
+        return box_muller(u[:, :n], u[:, n:]).reshape(self.batch_shape + shape)
 
     def uniforms_at(self, width: int, rows, cols) -> np.ndarray:
-        """Cells (rows, cols) of the uniform grid uniforms(width) would return."""
-        base = self._counter
-        self._counter += width
-        return _unit(self._cell_bits(base, rows, cols))
+        """Cells (rows, cols), which broadcast, of the grid uniforms(width) returns."""
+        keys = self._keys[np.asarray(rows, dtype=np.int64)]
+        return _unit(_hash(keys, self._advance(width), cols))
 
     def normals_at(self, width: int, rows, cols) -> np.ndarray:
-        """Cells (rows, cols) of the normal grid normals(width) would return."""
-        base = self._counter
-        self._counter += 2 * width
+        """Cells (rows, cols), which broadcast, of the grid normals(width) returns."""
+        keys = self._keys[np.asarray(rows, dtype=np.int64)]
+        base = self._advance(2 * width)
         cols = np.asarray(cols, dtype=np.uint64)
-        return box_muller(_unit(self._cell_bits(base, rows, cols)),
-                          _unit(self._cell_bits(base, rows, cols + np.uint64(width))))
+        return box_muller(_unit(_hash(keys, base, cols)),
+                          _unit(_hash(keys, base, cols + np.uint64(width))))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.master_seed}, path={self.path}, batch={self.batch_shape})"
+        return f"RngStream(batch={self.batch_shape}, counter={self._counter})"

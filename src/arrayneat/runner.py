@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import pickle
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -266,6 +265,24 @@ def load_checkpoint(path) -> EvolutionState:
 # run
 # ---------------------------------------------------------------------------
 
+def _generations(state: EvolutionState, threads: int, sequential: bool = False):
+    """Evolve ``state`` in place until its fitness target or generation limit,
+    yielding each generation's number and stats after its stats row is kept."""
+    config = state.config
+    problem = make_problem(config)
+    root = RngStream(config.seed)
+    while state.generation < config.generation_limit:
+        generation = state.generation
+        state.population, state.species, stats = evolve_step(
+            state.population, state.species, config, root.child(generation),
+            state.allocator, problem, threads=threads, sequential=sequential)
+        state.stats_rows.append(_stats_row(generation, stats))
+        state.generation = generation + 1
+        yield generation, stats
+        if stats.solved:
+            return
+
+
 @dataclass
 class RunOutcome:
     exit_code: int
@@ -294,30 +311,17 @@ def run_experiment(config: NeatConfig | None, out_dir, threads: int = 1,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = make_problem(config)
-    root = RngStream(config.seed)
     timing_rows: list[str] = []
     best: GenomeTensors | None = None
     best_fitness = -math.inf
     solved = False
 
-    while state.generation < config.generation_limit:
-        generation = state.generation
-        pop, species, stats = evolve_step(
-            state.population, state.species, config, root.child(generation),
-            state.allocator, problem, threads=threads)
-        state.stats_rows.append(_stats_row(generation, stats))
+    for generation, stats in _generations(state, threads):
         timing_rows.append(f"{generation},{stats.elapsed_seconds!r}")
-        best = stats.best_genome
-        best_fitness = stats.best_fitness
-        state.population, state.species = pop, species
-        state.generation = generation + 1
+        best, best_fitness, solved = stats.best_genome, stats.best_fitness, stats.solved
         if log:
             log(f"generation {generation}: best={stats.best_fitness:.4f} "
                 f"mean={stats.mean_fitness:.4f} species={stats.species_count}")
-        if stats.solved:
-            solved = True
-            break
 
     stats_path = out / "stats.csv"
     stats_path.write_text("\n".join([STATS_HEADER, *state.stats_rows]) + "\n",
@@ -344,23 +348,6 @@ def run_experiment(config: NeatConfig | None, out_dir, threads: int = 1,
 BENCH_HEADER = "pop_size,generation,tensorized_seconds,sequential_seconds"
 
 
-def _timed_generations(config: NeatConfig, generations: int, threads: int,
-                       sequential: bool) -> list[float]:
-    state = init_state(config)
-    problem = make_problem(config)
-    root = RngStream(config.seed)
-    times: list[float] = []
-    for generation in range(generations):
-        start = time.perf_counter()
-        pop, species, _ = evolve_step(
-            state.population, state.species, config, root.child(generation),
-            state.allocator, problem, threads=threads, sequential=sequential)
-        times.append(time.perf_counter() - start)
-        state.population, state.species = pop, species
-        state.generation = generation + 1
-    return times
-
-
 def run_bench(config: NeatConfig, pop_sizes: list[int], generations: int,
               out_dir, threads: int = 1, log=None) -> Path:
     """Tensorized vs forced per-genome wall time, per generation and pop size.
@@ -376,13 +363,13 @@ def run_bench(config: NeatConfig, pop_sizes: list[int], generations: int,
         bench_config = config.with_overrides(pop_size=pop_size,
                                              generation_limit=generations,
                                              fitness_target=math.inf)
-        if log:
-            log(f"pop_size={pop_size}: tensorized path")
-        tensorized = _timed_generations(bench_config, generations, threads, False)
-        if log:
-            log(f"pop_size={pop_size}: sequential path")
-        sequential = _timed_generations(bench_config, generations, threads, True)
-        for generation, (t_tensor, t_seq) in enumerate(zip(tensorized, sequential)):
+        times = []
+        for sequential in (False, True):
+            if log:
+                log(f"pop_size={pop_size}: {'sequential' if sequential else 'tensorized'} path")
+            times.append([stats.elapsed_seconds for _, stats in
+                          _generations(init_state(bench_config), threads, sequential)])
+        for generation, (t_tensor, t_seq) in enumerate(zip(*times)):
             rows.append(f"{pop_size},{generation},{t_tensor!r},{t_seq!r}")
     bench_path = out / "bench.csv"
     bench_path.write_text("\n".join([BENCH_HEADER, *rows]) + "\n", encoding="utf-8")

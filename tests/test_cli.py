@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from arrayneat import (ConfigError, RngStream, init_genome,
+from arrayneat import (ConfigError, NeatConfig, RngStream, init_genome,
                        parse_config_text, serialize_genome)
 from arrayneat.cli import main
 from arrayneat.genome import CONN_ENABLED, CONN_IN, NODE_BIAS, NODE_KEY, with_rows
@@ -102,6 +102,32 @@ class TestConfigParsing:
         assert config.seed == 2 ** 63 - 1 and config.compatibility_threshold == float("inf")
         assert parse_config_text("seed = -9223372036854775808\n").seed == -2 ** 63
 
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"pop_size": 20.0}, "pop_size"),
+        ({"max_nodes": 50.0}, "max_nodes"),
+        ({"inputs": 2.0}, "inputs"),
+        ({"genome_elitism": 1.0}, "genome_elitism"),
+        ({"regression_samples": 10.0, "problem": "regression"}, "regression_samples"),
+        ({"max_species": "3"}, "max_species"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"generation_limit": 2.0}, "generation_limit"),
+        ({"node_add": True}, "node_add"),
+        ({"activation_options": ["tanh"]}, "activation_options"),
+    ])
+    def test_value_of_another_type_rejected(self, overrides, name):
+        # each used to end a run in a bare TypeError, run as another value, or
+        # write a checkpoint that load_checkpoint refuses
+        with pytest.raises(ConfigError, match=f"{name} must be of type"):
+            NeatConfig(**overrides)
+
+    def test_numpy_numbers_accepted(self):
+        config = NeatConfig(seed=np.int64(3), pop_size=np.int32(10), node_add=np.float32(0.5),
+                            fitness_target=3)
+        assert config.seed == 3 and config.pop_size == 10 and config.fitness_target == 3
+        with pytest.raises(ConfigError, match="node_add must be a number"):
+            NeatConfig(node_add=np.float32("nan"))
 
     @pytest.mark.parametrize("name", ["weight_mutate_power", "compatibility_threshold",
                                       "attr_min", "bias_init_std"])

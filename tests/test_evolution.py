@@ -62,12 +62,14 @@ STEP5_RATES = {
 }
 
 
-def grown_genome() -> GenomeTensors:
-    """8 live node rows and 17 live connection rows, 8 of them disabled, then
-    padding, at capacity 12/24."""
+def grown_genome(index: int = 0) -> GenomeTensors:
+    """Genome ``index`` of four grown by ten rounds of mutation, at capacity
+    12/24.  Genome 0 has 8 live node rows and 17 live connection rows, 8 of
+    them disabled, then padding; genome 3 has 24 live connection rows, 22 of
+    them not in genome 0."""
     config = make_config(pop_size=4, node_add=0.5, conn_add=0.9, node_delete=0.0,
                          conn_delete=0.0, enabled_mutate_rate=0.2)
-    return grown_population(config, 10, seed=7).genome(0)
+    return grown_population(config, 10, seed=7).genome(index)
 
 
 def replay_perturbation(genome: GenomeTensors, config, stream: RngStream):
@@ -273,9 +275,10 @@ class TestMutate:
 
     def test_enabled_flip_rate(self):
         config = quiet_config(enabled_mutate_rate=1.0)
-        g = random_genome(4, config, n_ops=15)
+        g = grown_genome()
         out = mutate(g, config, RngStream(3).child(0, 2, 0), NodeKeyAllocator(500))
         live = ~np.isnan(g.conns[:, CONN_IN])
+        assert live.sum() >= 14
         assert np.array_equal(out.conns[live, CONN_ENABLED],
                               1.0 - g.conns[live, CONN_ENABLED])
 
@@ -628,9 +631,9 @@ class TestCrossover:
         out = crossover(g, g, RngStream(0).child(0, 2, 0))
         assert genomes_equal(out, g)
 
-    def test_topology_from_fitter_parent(self, config):
-        g1 = random_genome(3, config, n_ops=30)
-        g2 = random_genome(44, config, n_ops=30)
+    def test_topology_from_fitter_parent(self):
+        g1, g2 = grown_genome(0), grown_genome(3)
+        assert min(len(live_conn_pairs(g1)), len(live_conn_pairs(g2))) >= 14
         out = crossover(g1, g2, RngStream(1).child(0, 2, 0))
         assert live_node_keys(out) == live_node_keys(g1)
         assert live_conn_pairs(out) == live_conn_pairs(g1)
@@ -654,11 +657,11 @@ class TestCrossover:
                     ok = ok or row[col] == g2_rows[keys2[key], col]
                 assert ok
 
-    def test_disjoint_genes_of_less_fit_never_appear(self, config):
-        g1 = random_genome(6, config, n_ops=10)
-        g2 = random_genome(66, config, n_ops=40)
+    def test_disjoint_genes_of_less_fit_never_appear(self):
+        g1, g2 = grown_genome(0), grown_genome(3)
         out = crossover(g1, g2, RngStream(3).child(0, 2, 0))
         only_in_g2 = set(live_conn_pairs(g2)) - set(live_conn_pairs(g1))
+        assert len(only_in_g2) >= 14
         assert not (set(live_conn_pairs(out)) & only_in_g2)
 
     def test_coins_match_scalar_replay_oracle(self):

@@ -8,8 +8,8 @@ from arrayneat.rng import box_muller
 
 
 def test_same_seed_and_path_reproduces():
-    a = RngStream(42, (1, 2, 3)).uniforms(100)
-    b = RngStream(42, (1, 2, 3)).uniforms(100)
+    a = RngStream(42).child(1, 2, 3).uniforms(100)
+    b = RngStream(42).child(1, 2, 3).uniforms(100)
     assert np.array_equal(a, b)
 
 
@@ -41,10 +41,10 @@ def test_split_normals_match_child():
 
 
 def test_sequential_draws_continue_the_stream():
-    s = RngStream(3, (1,))
+    s = RngStream(3).child(1)
     first = s.uniforms(10)
     second = s.uniforms(10)
-    both = RngStream(3, (1,)).uniforms(20)
+    both = RngStream(3).child(1).uniforms(20)
     assert np.array_equal(np.concatenate([first, second]), both)
 
 
@@ -62,7 +62,7 @@ def test_normals_moments():
 
 
 def test_no_short_cycles_or_duplicates():
-    bits = RngStream(11, (4,)).uniforms(10_000)
+    bits = RngStream(11).child(4).uniforms(10_000)
     assert np.unique(bits).size == bits.size
 
 
@@ -84,7 +84,7 @@ def test_split_requires_1d():
     lambda: RngStream(0).child(2 ** 63),
     lambda: RngStream(0).child(1, -2 ** 63 - 1),
     lambda: RngStream(0).child(2 ** 64),
-    lambda: RngStream(0, (np.uint64(2 ** 63),)),
+    lambda: RngStream(0).child(np.uint64(2 ** 63)),
 ], ids=["seed-2**63", "seed-below", "seed-2**70", "child-2**63", "child-below",
         "child-2**64", "path-uint64"])
 def test_seed_and_tokens_must_fit_in_int64(make):
@@ -139,6 +139,21 @@ def test_sparse_normals_match_dense_grid():
     assert np.array_equal(box_muller(three[0], three[1]), sparse)
     assert np.array_equal(three[2], after)
     assert joint._counter == stream._counter == 17
+
+
+def test_sparse_draws_broadcast_rows_against_cols():
+    # rows (k, 1) against cols (k, m) give the (k, m) grid the flattened call gives
+    rows = np.array([2, 0, 3])
+    cols = np.array([[4, 5], [0, 1], [6, 7]])
+    for draw in ("uniforms_at", "normals_at"):
+        grid = RngStream(4).child(7).split(np.arange(5))
+        flat = RngStream(4).child(7).split(np.arange(5))
+        got = getattr(grid, draw)(8, rows[:, None], cols)
+        want = getattr(flat, draw)(8, np.repeat(rows, 2), cols.ravel())
+        assert got.shape == cols.shape
+        assert np.array_equal(got.ravel(), want)
+        assert grid._counter == flat._counter
+        assert np.array_equal(grid.uniforms(3), flat.uniforms(3))
 
 
 def test_batch_shape_and_draw_shapes():
