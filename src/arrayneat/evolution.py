@@ -373,6 +373,10 @@ def mutate(genome: GenomeTensors, config: NeatConfig, rng: RngStream,
 # distance
 # ---------------------------------------------------------------------------
 
+def _node_codes(genes: np.ndarray) -> np.ndarray:
+    return genes[:, NODE_KEY]
+
+
 def _node_pair_distance(own: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (np.abs(own[:, NODE_BIAS] - other[:, NODE_BIAS])
             + np.abs(own[:, NODE_RESPONSE] - other[:, NODE_RESPONSE])
@@ -383,6 +387,76 @@ def _node_pair_distance(own: np.ndarray, other: np.ndarray) -> np.ndarray:
 def _conn_pair_distance(own: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (np.abs(own[:, CONN_WEIGHT] - other[:, CONN_WEIGHT])
             + np.abs(own[:, CONN_ENABLED] - other[:, CONN_ENABLED])) / 2.0
+
+
+# per gene kind, nodes then connections: key column, identity codes, pair distance
+_GENE_KINDS = ((NODE_KEY, _node_codes, _node_pair_distance),
+               (CONN_IN, pair_codes, _conn_pair_distance))
+
+
+def _live_genes(nodes: np.ndarray, conns: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Every live gene of a population block, per gene kind (nodes, then
+    connections): (owner, rows, codes, index), in row-major order.
+
+    ``owner`` is the genome that holds each gene, ``rows`` the gene rows and
+    ``codes`` their identities (node keys, connection pair codes).  ``index``
+    is each gene's row in ``rows``, so a caller that keeps a subset of the
+    genes keeps the owners, codes and indices and leaves the rows in place.
+    """
+    genes = []
+    for block, (col, codes_of, _) in zip((nodes, conns), _GENE_KINDS):
+        # one read of the whole key column: finding the occupied prefix first
+        # (genome.occupied) would read it once more and cost more than it saves
+        width = block.shape[1]
+        cells = np.flatnonzero(~np.isnan(block[:, :, col]))  # row-major
+        # the explicit column count lets a block of width 0 reshape
+        rows = block.reshape(block.shape[0] * width, block.shape[2]).take(cells, axis=0)
+        genes.append((cells // width, rows, codes_of(rows), np.arange(cells.size)))
+    return genes
+
+
+def _live_counts(genes: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
+    """Live genes per owner, (size,) int64."""
+    return sum(np.bincount(owner, minlength=size) for owner, *_ in genes)
+
+
+def _distances_to(genes: list[tuple[np.ndarray, ...]], live_counts: np.ndarray,
+                  rep_nodes: np.ndarray, rep_conns: np.ndarray,
+                  config: NeatConfig) -> np.ndarray:
+    """Distance from each genome of ``live_counts`` to one representative.
+
+    ``genes`` are gathered as ``_live_genes`` gathers them, possibly a subset
+    with ``owner`` renumbered into ``live_counts``; ``rep_nodes`` and
+    ``rep_conns`` are one genome's blocks, at any width.  Each of the
+    representative's gene kinds is sorted by code once, and every gathered
+    gene is looked up in it.  A genome's pair distances are summed in its row
+    order, node sums before connection sums, so its distance is bitwise the
+    value a one-genome call gives.
+    """
+    size = live_counts.size
+    homologous = np.zeros(size, dtype=np.int64)
+    pair_sum = np.zeros(size)
+    live2 = 0
+    for (owner, rows, codes, index), rep, (col, codes_of, pair_distance) in zip(
+            genes, (rep_nodes, rep_conns), _GENE_KINDS):
+        other = rep[~np.isnan(rep[:, col])]
+        other_codes = codes_of(other)
+        order = np.argsort(other_codes)
+        table = np.append(other_codes[order], np.inf)  # sentinel: never found
+        pos = np.searchsorted(table, codes)
+        hit = np.flatnonzero(table[pos] == codes)
+        matched = other.take(order[pos[hit]], axis=0)
+        live2 += len(other)
+        homologous += np.bincount(owner[hit], minlength=size)
+        pair_sum += np.bincount(
+            owner[hit], weights=pair_distance(rows.take(index[hit], axis=0), matched),
+            minlength=size)
+
+    disjoint = (live_counts - homologous) + (live2 - homologous)
+    attr_mean = np.where(homologous > 0, pair_sum / np.maximum(homologous, 1), 0.0)
+    total = np.maximum(live_counts, live2)
+    return (config.compatibility_disjoint * disjoint / total
+            + config.compatibility_homologous * attr_mean)
 
 
 def distance_arrays(nodes1: np.ndarray, conns1: np.ndarray,
@@ -398,47 +472,17 @@ def distance_arrays(nodes1: np.ndarray, conns1: np.ndarray,
     key, so the second genome's disjoint count is its live count minus the
     number of matched pairs.
 
-    Block 1's live genes are gathered once, in row-major order, and each is
-    looked up among a block-2 genome's sorted live codes, so the work scales
-    with live genes rather than capacity.  Each genome's pair distances are
-    summed in its row order whatever the blocks hold, so every entry is
-    bitwise equal to a one-genome call.
+    Block 1's live genes are gathered once (``_live_genes``) and measured
+    against each block-2 genome in turn (``_distances_to``), so the work
+    scales with live genes rather than capacity, and every entry is bitwise
+    equal to a one-genome call.
     """
-    pop, others = nodes1.shape[0], nodes2.shape[0]
-    live1 = np.zeros(pop, dtype=np.int64)
-    live2 = np.zeros((others, 1), dtype=np.int64)
-    homologous = np.zeros((others, pop), dtype=np.int64)
-    pair_sum = np.zeros((others, pop))
-    for block1, block2, col, codes_of, pair_distance in (
-            (nodes1, nodes2, NODE_KEY, lambda genes: genes[:, NODE_KEY], _node_pair_distance),
-            (conns1, conns2, CONN_IN, pair_codes, _conn_pair_distance)):
-        # one read of the whole key column: finding the occupied prefix first
-        # (genome.occupied) would read it once more and cost more than it saves
-        width = block1.shape[1]
-        cells = np.flatnonzero(~np.isnan(block1[:, :, col]))  # row-major
-        owner = cells // width
-        genes = block1.reshape(pop * width, block1.shape[2]).take(cells, axis=0)  # width may be 0
-        codes = codes_of(genes)
-        live1 += np.bincount(owner, minlength=pop)
-        for j in range(others):
-            other = block2[j][~np.isnan(block2[j, :, col])]
-            other_codes = codes_of(other)
-            order = np.argsort(other_codes)
-            table = np.append(other_codes[order], np.inf)  # sentinel: never found
-            pos = np.searchsorted(table, codes)
-            hit = np.flatnonzero(table[pos] == codes)
-            matched = other.take(order[pos[hit]], axis=0)
-            live2[j] += len(other)
-            homologous[j] += np.bincount(owner[hit], minlength=pop)
-            pair_sum[j] += np.bincount(
-                owner[hit], weights=pair_distance(genes.take(hit, axis=0), matched),
-                minlength=pop)
-
-    disjoint = (live1 - homologous) + (live2 - homologous)
-    attr_mean = np.where(homologous > 0, pair_sum / np.maximum(homologous, 1), 0.0)
-    total = np.maximum(live1, live2)
-    return (config.compatibility_disjoint * disjoint / total
-            + config.compatibility_homologous * attr_mean)
+    genes = _live_genes(nodes1, conns1)
+    live1 = _live_counts(genes, nodes1.shape[0])
+    result = np.empty((nodes2.shape[0], nodes1.shape[0]))
+    for j in range(nodes2.shape[0]):
+        result[j] = _distances_to(genes, live1, nodes2[j], conns2[j], config)
+    return result
 
 
 def distance(g1: GenomeTensors, g2: GenomeTensors, config: NeatConfig) -> float:
@@ -467,38 +511,53 @@ def speciate(pop: PopulationTensors, species: list[SpeciesState], config: NeatCo
     closest to the old representative, and empty species are dropped.
 
     One first-fit loop takes the representatives in that order, old species
-    first, then as founder the lowest genome still unassigned.  Each is
-    measured only against the genomes still unassigned (one call per genome
-    when sequential), so every distance a decision reads is computed and no
-    other.
+    first, then as founder the lowest genome still unassigned.  The
+    population's live genes are gathered once; each representative is
+    measured only against the genes of the genomes still unassigned (one call
+    per genome when sequential), so every distance a decision reads is
+    computed and no other.  Between representatives only the owner, code and
+    index arrays of the genes still unassigned are kept; no gene row is
+    copied.
     """
     count = pop.size
-    nodes, conns = pop.nodes, pop.conns
     ordered = sorted(species, key=lambda s: s.species_key)
     next_key = max((sp.species_key for sp in ordered), default=-1) + 1
     # (key, prior state or None for a founder, distances of the genomes it measured)
     taken: list[tuple[int, SpeciesState | None, np.ndarray]] = []
     assigned = np.full(count, -1, dtype=np.int64)
     pending = np.arange(count)
+    # the pending genomes' genes, owners numbered by position in ``pending``
+    genes = _live_genes(pop.nodes, pop.conns)
+    live = _live_counts(genes, count)
     while pending.size and len(taken) < max(len(ordered), config.max_species):
         if len(taken) < len(ordered):
             prior = ordered[len(taken)]
-            key, rep = prior.species_key, prior.representative
-            rep_nodes, rep_conns = rep.nodes[None], rep.conns[None]
+            key, rep_nodes, rep_conns = (prior.species_key, prior.representative.nodes,
+                                         prior.representative.conns)
         else:
             prior, key, next_key = None, next_key, next_key + 1
-            rep_nodes, rep_conns = nodes[pending[:1]], conns[pending[:1]]
+            rep_nodes, rep_conns = pop.nodes[pending[0]], pop.conns[pending[0]]
         row = np.empty(count)
-
-        def work(lo: int, hi: int) -> None:
-            idx = pending[lo:hi]
-            row[idx] = distance_arrays(nodes[idx], conns[idx], rep_nodes, rep_conns, config)[0]
-
-        run_chunked(pending.size, 1, sequential, work)
+        if sequential:
+            # owners are sorted, so each genome's genes are one slice of each kind
+            bounds = [np.searchsorted(owner, np.arange(pending.size + 1)) for owner, *_ in genes]
+            for k, genome in enumerate(pending):
+                own = [(owner[lo[k]:lo[k + 1]] - k, rows, codes[lo[k]:lo[k + 1]],
+                        index[lo[k]:lo[k + 1]])
+                       for (owner, rows, codes, index), lo in zip(genes, bounds)]
+                row[genome] = _distances_to(own, live[k:k + 1], rep_nodes, rep_conns, config)[0]
+        else:
+            row[pending] = _distances_to(genes, live, rep_nodes, rep_conns, config)
         close = row[pending] <= config.compatibility_threshold
         close[0] |= prior is None  # a founder joins its own species
         assigned[pending[close]] = key
-        pending = pending[~close]
+        pending, live = pending[~close], live[~close]
+        position = np.cumsum(~close) - 1  # new position of each genome still pending
+        kept = []
+        for owner, rows, codes, index in genes:
+            keep = ~close[owner]
+            kept.append((position[owner[keep]], rows, codes[keep], index[keep]))
+        genes = kept
         taken.append((key, prior, row))
     if pending.size:  # the cap is reached: each genome left joins its nearest species
         nearest = np.stack([row[pending] for _, _, row in taken]).argmin(axis=0)

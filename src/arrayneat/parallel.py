@@ -9,8 +9,6 @@ forced per-genome path that ``arrayneat bench`` and the scaling test in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -34,6 +32,9 @@ def run_chunked(total: int, threads: int, sequential: bool, work) -> None:
         for lo, hi in ranges:
             work(lo, hi)
         return
+    # imported here, not at start-up: concurrent.futures pulls in logging and more
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         for future in [pool.submit(work, lo, hi) for lo, hi in ranges]:
             future.result()

@@ -56,7 +56,11 @@ def _fold(keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
 
 
 def _signed64(value, what: str) -> int:
-    """``value`` as an int; ConfigError unless it fits in a signed 64-bit integer."""
+    """``value`` as an int; ConfigError unless it is an integer (not a bool)
+    that fits in a signed 64-bit integer."""
+    # bool subclasses int; np.bool_ is not an np.integer
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     value = int(value)
     if not -2 ** 63 <= value < 2 ** 63:
         raise ConfigError(f"{what} must fit in a signed 64-bit integer, got {value}")
@@ -100,9 +104,14 @@ class RngStream:
 
     def split(self, tokens) -> "RngStream":
         """Batch of child streams, one per entry of ``tokens`` (a 1-D int array)."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         if tokens.ndim != 1:
             raise ValueError("split expects a 1-D token array")
+        if tokens.size and tokens.dtype.kind not in "iu":
+            raise ConfigError(f"stream tokens must be integers, got dtype {tokens.dtype}")
+        if tokens.dtype.kind == "u" and tokens.size and tokens.max() >= 2 ** 63:
+            raise ConfigError(f"stream token must fit in a signed 64-bit integer, "
+                              f"got {tokens.max()}")
         keys = _fold(self._keys[:, None], _as_tokens(tokens)[None, :]).reshape(-1)
         return self._derived(keys, self.batch_shape + (tokens.size,))
 

@@ -8,8 +8,9 @@ first guess: ``match_aligned`` guesses the same column (genes of related
 genomes usually sit at the same row), ``rows_of_io_keys`` guesses row = key
 for input/output keys, and ``match_rows`` guesses nothing.  Every query its
 guess leaves unfound goes through one shared step that compares it with every
-code of its row.  Distance does not use this step: it looks each live gene up
-among another genome's sorted live codes (``evolution.distance_arrays``).
+code of its row.  Distance does not use this step: it gathers a population's
+live genes once and looks each one up among a representative's sorted live
+codes (``evolution._live_genes`` and ``evolution._distances_to``).
 Everything here is integer or boolean work, so results are exact and
 identical no matter how the population is batched or chunked.
 """

@@ -1,10 +1,15 @@
 """CLI: run/bench/inspect commands, config handling, checkpoint resume."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arrayneat
 from arrayneat import (ConfigError, NeatConfig, RngStream, init_genome,
                        parse_config_text, serialize_genome)
 from arrayneat.cli import main
@@ -510,3 +515,15 @@ class TestInspect:
         path.write_bytes(damage(self.write_genome(tmp_path).read_bytes()))
         assert main(["inspect", "--genome", str(path)]) == 1
         assert "inspect:" in capsys.readouterr().err
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures pulls in logging, queue and more; run_chunked imports it
+    # only when it starts a pool, so start-up does not pay for it
+    src = str(Path(arrayneat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, arrayneat; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,11 +8,12 @@ from arrayneat import (CapacityFull, ConnRow, GenomeTensors, NodeKeyAllocator, P
                        crossover, decode, distance, evolve_step, genomes_equal,
                        graph_distance, init_genome, init_state, make_problem, mutate,
                        reproduce, set_conn_attr, speciate, update_stagnation)
-from arrayneat.genome import (CONN_ENABLED, CONN_IN, CONN_OUT, CONN_WEIGHT, NODE_ACT,
-                              NODE_AGG, NODE_BIAS, NODE_KEY, NODE_RESPONSE, check_integrity)
+from arrayneat.genome import (CONN_ENABLED, CONN_HEADROOM, CONN_IN, CONN_OUT, CONN_WEIGHT,
+                              NODE_ACT, NODE_AGG, NODE_BIAS, NODE_HEADROOM, NODE_KEY,
+                              NODE_RESPONSE, check_integrity, stored_width, with_rows)
 
 from arrayneat import evolution
-from arrayneat.evolution import _add_connections, distance_arrays
+from arrayneat.evolution import _add_connections, _distances_to, distance_arrays
 
 from conftest import (dfs_has_cycle, grown_population, live_conn_pairs, live_node_keys,
                       make_config, random_genome)
@@ -469,14 +470,15 @@ class TestSpeciate:
         previous = [SpeciesState(species_key=key, representative=pop.genome(i),
                                  member_indices=np.array([i]))
                     for key, i in ((3, 0), (8, 1))]
-        measured = []  # genome pairs of each distance call speciate makes
-        monkeypatch.setattr(evolution, "distance_arrays", lambda *a: measured.append(
-            a[0].shape[0] * a[2].shape[0]) or distance_arrays(*a))
+        measured = []  # genomes each representative's distance call measures
+        monkeypatch.setattr(evolution, "_distances_to", lambda *a: measured.append(
+            a[1].size) or _distances_to(*a))
         fast_ids, fast = speciate(pop, previous, config)
         fast_pairs = sum(measured)
         measured.clear()
         slow_ids, slow = speciate(pop, previous, config, sequential=True)
         assert sum(measured) == fast_pairs
+        assert len(measured) == fast_pairs  # one call per genome and representative
         assert np.array_equal(fast_ids, slow_ids)
         assert [sp.species_key for sp in fast] == [sp.species_key for sp in slow]
         for a, b in zip(fast, slow):
@@ -506,6 +508,64 @@ class TestSpeciate:
         _, founders, nearest_joins = check_against_replay(pop, previous, ids, species,
                                                           config)
         assert len(founders) == 3 and nearest_joins > 0
+
+    @staticmethod
+    def reads(pop, previous, config, sequential):
+        """Run speciate, recording every distance it reads as (representative
+        nodes, representative conns, genome index, distance)."""
+        # the population index of each gathered node gene; every genome has live nodes
+        node_owner = evolution._live_genes(pop.nodes, pop.conns)[0][0]
+        reads = []
+
+        def recording(genes, live_counts, rep_nodes, rep_conns, config):
+            result = _distances_to(genes, live_counts, rep_nodes, rep_conns, config)
+            owner, _, _, index = genes[0]
+            genomes = np.full(live_counts.size, -1)
+            genomes[owner] = node_owner[index]
+            reads.extend((rep_nodes, rep_conns, int(g), d) for g, d in zip(genomes, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "_distances_to", recording)
+            ids, species = speciate(pop, previous, config, sequential=sequential)
+        return reads, ids, species
+
+    @pytest.mark.parametrize("case", ["holey", "no-connections", "stored-width", "cap"])
+    def test_every_distance_read_equals_a_one_genome_call(self, case):
+        overrides = {"holey": dict(compatibility_threshold=1.5),
+                     "no-connections": dict(compatibility_threshold=1.0),
+                     "stored-width": dict(max_nodes=24, max_conns=64),
+                     "cap": dict(pop_size=60)}[case]
+        config, pop = holey_population(**{"pop_size": 40, "max_species": 5,
+                                          "compatibility_threshold": 1.2, **overrides})
+        previous = [SpeciesState(species_key=key, representative=pop.genome(i),
+                                 member_indices=np.array([i]))
+                    for key, i in ((3, 0), (8, 1))  # stored at full capacity
+                    if case != "holey"]  # there, founders only
+        if case == "no-connections":
+            pop.conns[:] = np.nan
+        if case == "stored-width":
+            pop = PopulationTensors(
+                with_rows(pop.nodes, stored_width(pop.nodes, config.max_nodes, NODE_HEADROOM)),
+                with_rows(pop.conns, stored_width(pop.conns, config.max_conns, CONN_HEADROOM)),
+                pop.num_inputs, pop.num_outputs, config.max_nodes, config.max_conns)
+            assert pop.nodes.shape[1] < config.max_nodes and pop.conns.shape[1] < config.max_conns
+        fast, fast_ids, fast_species = self.reads(pop, previous, config, sequential=False)
+        slow, slow_ids, _ = self.reads(pop, previous, config, sequential=True)
+        assert np.array_equal(fast_ids, slow_ids)
+        assert len(fast) == len(slow) and len(fast) > pop.size
+        for (rep_nodes, rep_conns, genome, d), (*rep_slow, genome_slow, d_slow) in zip(fast, slow):
+            assert genome >= 0 and genome == genome_slow
+            assert rep_nodes.tobytes() == rep_slow[0].tobytes()
+            assert rep_conns.tobytes() == rep_slow[1].tobytes()
+            alone = distance_arrays(pop.nodes[genome:genome + 1], pop.conns[genome:genome + 1],
+                                    rep_nodes[None], rep_conns[None], config)
+            assert alone[0, 0].tobytes() == d.tobytes() == d_slow.tobytes()
+        _, founders, nearest_joins = check_against_replay(pop, previous, fast_ids,
+                                                          fast_species, config)
+        assert founders
+        if case == "cap":
+            assert len(fast_species) == config.max_species and nearest_joins > 0
 
     def test_species_count_never_exceeds_cap(self):
         config = make_config(compatibility_threshold=0.0, max_species=3)

@@ -93,6 +93,33 @@ def test_seed_and_tokens_must_fit_in_int64(make):
         make()
 
 
+# truncating or wrapping each of these would draw exactly what the stream in
+# its comment draws
+@pytest.mark.parametrize("make, message", [
+    (lambda: RngStream(1.5), "seed must be an integer"),  # RngStream(1)
+    (lambda: RngStream(0).child(2.7), "must be an integer"),  # child(2)
+    (lambda: RngStream(0).child(True), "must be an integer"),  # child(1)
+    (lambda: RngStream(0).child(np.bool_(True)), "must be an integer"),  # child(1)
+    (lambda: RngStream(0).child(np.float64(3.0)), "must be an integer"),  # child(3)
+    (lambda: RngStream(0).split(np.array([0.5, 1.9])), "must be integers"),  # split([0, 1])
+    (lambda: RngStream(0).split(np.array([True, False])), "must be integers"),  # split([1, 0])
+    (lambda: RngStream(0).split(np.array([2 ** 63], dtype=np.uint64)),
+     "signed 64-bit"),  # split([-2**63])
+], ids=["seed-float", "child-float", "child-bool", "child-numpy-bool", "child-numpy-float",
+        "split-float", "split-bool", "split-uint64"])
+def test_non_integer_tokens_are_refused_not_aliased(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
+def test_integer_tokens_of_any_integer_type_agree():
+    a = RngStream(3).child(np.int32(4), np.uint64(5)).split(np.array([1, 2], dtype=np.uint16))
+    b = RngStream(3).child(4, 5).split([1, 2])
+    assert np.array_equal(a.uniforms(3), b.uniforms(3))
+    assert RngStream(3).split(np.array([])).batch_shape == (0,)
+    assert RngStream(3).split([]).uniforms(2).shape == (0, 2)
+
+
 def test_int64_bounds_are_distinct_streams():
     low, high = RngStream(-2 ** 63), RngStream(2 ** 63 - 1)
     assert not np.array_equal(low.uniforms(4), high.uniforms(4))
